@@ -153,6 +153,8 @@ class DephasingFamily:
     def __post_init__(self):
         if not 0.0 < self.p <= 0.5:
             raise DomainError(f"p must lie in (0, 1/2], got {self.p}")
+        if not np.isfinite(self.pdot):
+            raise ValidationError(f"pdot must be finite, got {self.pdot}")
         g0 = require_hermitian(self.g0, name="G0")
         g1 = require_hermitian(self.g1, name="G1")
         if abs(np.trace(g0)) > 1e-12 or abs(np.trace(g1)) > 1e-12:

@@ -241,7 +241,7 @@ def cmd_qfi(cfg: ExperimentConfig, out=sys.stdout) -> int:
     if cfg.family is None:
         raise ConfigError("qfi needs a family.* block")
     ch = dephasing_channel(cfg.family)
-    ancilla = fisher_info.channel_qfi_ancilla(ch, seed=cfg.seed)
+    ancilla = fisher_info.channel_qfi_ancilla(ch)
     no_ancilla = fisher_info.channel_qfi_no_ancilla(ch)
     eta = fisher_info.eta_bound(_family_ptm(cfg))
     rows = [

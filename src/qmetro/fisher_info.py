@@ -1,16 +1,25 @@
 """Fisher information functionals for states, measurements and channels.
 
 State-level quantities (``qfi_state``, ``sld``, ``classical_fi``, ``povm_fi``,
-``bures_distance``) follow the standard eigendecomposition formulas.  The
-channel QFI comes in two flavours:
+``bures_distance``) follow the standard eigendecomposition formulas.  Both
+flavours of the channel QFI rest on one exact inner minimum: with
+``B_j(h) = dK_j - i sum_i h_ji K_i`` over Hermitian gauges ``h`` and
+``alpha(h) = sum_j B_j(h)^dag B_j(h)``, the function
+``min_h Tr(rho alpha(h))`` of an input state ``rho = s s^dag`` is a real
+linear least-squares problem in ``h`` (``_inner_min``).
 
-* ancilla-assisted, ``4 min_h || sum_j B_j(h)^dag B_j(h) ||`` over Hermitian
-  gauge matrices ``h`` with ``B_j(h) = dK_j - i sum_i h_ji K_i``: a convex
-  minimization of a largest eigenvalue, solved here by annealed smoothing
-  plus accelerated gradient descent with random restarts;
-* ancilla-free, ``4 sup_psi min_h Tr(psi sum_j B_j^dag B_j)``: the inner
-  minimum is an exact linear least-squares problem for each pure input, and
-  the outer supremum is taken over a sphere grid with local refinement.
+* ancilla-assisted, ``4 min_h ||alpha(h)||``.  By the minimax theorem
+  (Fujiwara & Imai 2008; Demkowicz-Dobrzanski, Kolodynski & Guta,
+  Nat. Commun. 3, 1063, 2012) this equals ``4 max_rho min_h Tr(rho alpha(h))``,
+  a concave maximum over inputs.  It is taken over the restricted set
+  ``rho = (1 - eps) sigma + eps I/d`` with ``eps = INPUT_FLOOR``.  The
+  least-squares argmin ``h_opt`` at the final ``rho*`` certifies the answer:
+  ``value = 4 lambda_max(alpha(h_opt))`` is an upper bound on the QFI,
+  ``4 Tr(rho* alpha(h_opt))`` a lower bound, and their difference ``gap``
+  must stay within ``GAP_RTOL * value``;
+* ancilla-free, ``4 sup_psi min_h <psi|alpha(h)|psi>``: the same oracle at
+  pure inputs, with the outer supremum taken over a sphere grid with local
+  refinement.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ EIG_PAIR_CUTOFF = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Gauge minimization failed to self-validate across restarts."""
+    """The channel QFI's duality gap stayed above the certificate tolerance."""
 
     def __init__(self, message, best_value=None, gap=None):
         super().__init__(message)
@@ -96,8 +105,18 @@ class GaugeMatrix:
 
 @dataclass(frozen=True)
 class ChannelQfiResult:
+    """Certified ancilla-assisted channel QFI.
+
+    ``value`` is an upper bound and ``value - gap`` a lower bound on the exact
+    QFI.  ``h_opt`` is the gauge whose ``4 lambda_max(alpha(h_opt))`` gives
+    ``value``; ``rho_opt`` is the input's reduced state on the probed system,
+    and any purification of it with an ancilla reaches ``value - gap``.
+    """
+
     value: float
     h_opt: GaugeMatrix
+    gap: float
+    rho_opt: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -216,183 +235,128 @@ def bures_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauge minimization (ancilla-assisted channel QFI)
+# Channel QFI: one least-squares oracle behind both flavours
 # ---------------------------------------------------------------------------
 
+GAP_RTOL = 1e-8
+"""Largest relative duality gap ``gap / value`` a channel QFI result may carry."""
 
-def _herm_from_params(x: np.ndarray, r: int) -> np.ndarray:
-    h = np.zeros((r, r), dtype=complex)
-    h[np.diag_indices(r)] = x[:r]
-    iu = np.triu_indices(r, 1)
-    n_off = len(iu[0])
-    re = x[r : r + n_off]
-    im = x[r + n_off : r + 2 * n_off]
-    h[iu] = re + 1j * im
-    h[(iu[1], iu[0])] = re - 1j * im
-    return h
+INPUT_FLOOR = 1e-10
+"""Weight ``eps`` of ``I/d`` mixed into every ancilla-assisted input state."""
 
+POLISH_STEPS = 2
+"""Newton steps allowed after BFGS before the certificate gives up."""
 
-class _GaugeObjective:
-    """lambda_max of ``W(h) = sum_j B_j(h)^dag B_j(h)`` and its smoothed gradient."""
-
-    def __init__(self, k_ops: np.ndarray, dk_ops: np.ndarray):
-        self.k = np.asarray(k_ops, dtype=complex)
-        self.dk = np.asarray(dk_ops, dtype=complex)
-        self.r = self.k.shape[0]
-        self.n_params = self.r * self.r
-        self._iu = np.triu_indices(self.r, 1)
-
-    def _stack(self, h: np.ndarray) -> np.ndarray:
-        return self.dk - 1j * np.einsum("ji,iab->jab", h, self.k)
-
-    def value(self, x: np.ndarray) -> float:
-        b = self._stack(_herm_from_params(x, self.r))
-        w = np.einsum("jab,jac->bc", b.conj(), b)
-        return float(np.linalg.eigvalsh(w)[-1])
-
-    def smooth(self, x: np.ndarray, tau: float):
-        """Log-sum-exp smoothing of lambda_max; returns (value, gradient)."""
-        b = self._stack(_herm_from_params(x, self.r))
-        w = np.einsum("jab,jac->bc", b.conj(), b)
-        lam, vecs = np.linalg.eigh(w)
-        top = lam[-1]
-        wts = np.exp((lam - top) / tau)
-        total = wts.sum()
-        f = top + tau * np.log(total)
-        p_mat = (vecs * (wts / total)) @ vecs.conj().T
-        c = np.einsum("iab,jac,cb->ji", self.k.conj(), b, p_mat)
-        iu = self._iu
-        grad = np.concatenate(
-            [
-                -2.0 * np.imag(np.diagonal(c)),
-                -2.0 * np.imag(c[iu] + c[(iu[1], iu[0])]),
-                2.0 * np.real(c[iu] - c[(iu[1], iu[0])]),
-            ]
-        )
-        return f, grad
+SPHERE_GRID = 400
+"""Fibonacci grid size for the ancilla-free outer supremum."""
 
 
-def _agd(obj: _GaugeObjective, x0: np.ndarray, tau: float, max_iter: int = 2000) -> np.ndarray:
-    """Nesterov descent with backtracking and adaptive restart on the smoothed objective.
+def _herm_basis(r: int) -> np.ndarray:
+    """Real basis of the r x r Hermitian matrices, shape ``(r*r, r, r)``.
 
-    Stops once the best value improves by less than 1e-10 relative over a
-    window of 50 iterations.
+    Diagonal units first, then ``E_ij + E_ji`` and ``i E_ij - i E_ji`` over
+    the strict upper triangle.
     """
-    x = x0.copy()
-    y = x0.copy()
-    lips = 1.0
-    t_mom = 1.0
-    best = np.inf
-    stalled = 0
-    for _ in range(max_iter):
-        fy, gy = obj.smooth(y, tau)
-        while True:
-            x_new = y - gy / lips
-            fx, _ = obj.smooth(x_new, tau)
-            step = x_new - y
-            if fx <= fy + gy @ step + 0.5 * lips * (step @ step) + 1e-18 or lips > 1e18:
-                break
-            lips *= 2.0
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
-        x, t_mom = x_new, t_new
-        lips = max(lips / 1.5, 1e-12)
-        if fx < best * (1.0 - 1e-10) - 1e-300:
-            best = fx
-            stalled = 0
-        else:
-            best = min(best, fx)
-            stalled += 1
-        if stalled >= 50:
-            break
-        if fx > fy:
-            y = x.copy()
-            t_mom = 1.0
-    return x
-
-
-def channel_qfi_ancilla(
-    ch: OneParamChannel, seed: int = 0, restarts: int = 10
-) -> ChannelQfiResult:
-    """Ancilla-assisted channel QFI ``4 min_h || sum_j B_j(h)^dag B_j(h) ||``.
-
-    The convex objective is annealed through a log-sum-exp smoothing ladder
-    (``tau`` from 1e-1 to 1e-9 of the problem scale) and each stage is solved
-    by accelerated first-order descent; ``restarts`` random initial gauges
-    guard against premature stalls.  Raises :class:`ConvergenceError` when the
-    restarts disagree beyond 1e-7 relative.
-    """
-    k_ops = np.array([p.k for p in ch.kraus])
-    dk_ops = np.array([p.dk for p in ch.kraus])
-    obj = _GaugeObjective(k_ops, dk_ops)
-    rng = np.random.default_rng(seed)
-    scale = max(obj.value(np.zeros(obj.n_params)), 1e-30)
-    if scale < 1e-24:
-        return ChannelQfiResult(0.0, GaugeMatrix(np.zeros((obj.r, obj.r))))
-    h_scale = np.sqrt(scale)
-    taus = scale * np.logspace(-1, -9, 9)
-    values = []
-    best_val, best_x = np.inf, None
-    for trial in range(max(restarts, 1)):
-        x = (
-            np.zeros(obj.n_params)
-            if trial == 0
-            else rng.normal(scale=h_scale, size=obj.n_params)
-        )
-        for tau in taus:
-            x = _agd(obj, x, tau)
-        val = obj.value(x)
-        values.append(val)
-        if val < best_val:
-            best_val, best_x = val, x
-    spread = (max(values) - min(values)) / max(min(values), 1e-30)
-    if spread > 1e-7:
-        raise ConvergenceError(
-            f"gauge minimization restarts disagree (relative spread {spread:.2e})",
-            best_value=4.0 * best_val,
-            gap=spread,
-        )
-    return ChannelQfiResult(4.0 * best_val, GaugeMatrix(_herm_from_params(best_x, obj.r)))
-
-
-# ---------------------------------------------------------------------------
-# Ancilla-free channel QFI
-# ---------------------------------------------------------------------------
-
-
-def _inner_min(k_ops: np.ndarray, dk_ops: np.ndarray, psi: np.ndarray) -> float:
-    """Exact ``min_h Tr(psi sum_j B_j^dag B_j)`` for a pure input (least squares).
-
-    For fixed ``|psi>`` the objective is ``sum_j ||dK_j psi - i sum_i h_ji K_i psi||^2``,
-    a real linear least-squares problem in the entries of Hermitian ``h``.
-    """
-    r = k_ops.shape[0]
-    y = (dk_ops @ psi).reshape(-1)
-    xs = k_ops @ psi  # shape (r, d)
-    d = xs.shape[1]
     iu, ju = np.triu_indices(r, 1)
-    cols = []
-    for i in range(r):  # diagonal params
-        col = np.zeros((r, d), dtype=complex)
-        col[i] = -1j * xs[i]
-        cols.append(col.reshape(-1))
-    for i, j in zip(iu, ju):  # real off-diagonal params
-        col = np.zeros((r, d), dtype=complex)
-        col[i] = -1j * xs[j]
-        col[j] = -1j * xs[i]
-        cols.append(col.reshape(-1))
-    for i, j in zip(iu, ju):  # imaginary off-diagonal params
-        col = np.zeros((r, d), dtype=complex)
-        col[i] = xs[j]
-        col[j] = -xs[i]
-        cols.append(col.reshape(-1))
-    a = np.column_stack(cols)
-    a_real = np.vstack([a.real, a.imag])
+    off = r + np.arange(len(iu))
+    basis = np.zeros((r * r, r, r), dtype=complex)
+    basis[np.arange(r), np.arange(r), np.arange(r)] = 1.0
+    basis[off, iu, ju] = basis[off, ju, iu] = 1.0
+    basis[off + len(iu), iu, ju] = 1j
+    basis[off + len(iu), ju, iu] = -1j
+    return basis
+
+
+def _alpha(k_ops: np.ndarray, dk_ops: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``alpha(h) = sum_j B_j(h)^dag B_j(h)`` with ``B_j(h) = dK_j - i sum_i h_ji K_i``."""
+    b = dk_ops - 1j * np.einsum("ji,iab->jab", h, k_ops)
+    return np.einsum("jab,jac->bc", b.conj(), b)
+
+
+def _inner_min(k_ops: np.ndarray, dk_ops: np.ndarray, s: np.ndarray):
+    """Exact ``min_h Tr(s s^dag alpha(h))`` and its argmin ``h`` for a d x m factor ``s``.
+
+    The objective is ``sum_j ||dK_j s - i sum_i h_ji K_i s||_F^2``, a real
+    linear least-squares problem in the coordinates of Hermitian ``h``.
+    """
+    basis = _herm_basis(k_ops.shape[0])
+    design = -1j * np.einsum("pji,iam->pjam", basis, k_ops @ s).reshape(len(basis), -1)
+    y = (dk_ops @ s).reshape(-1)
+    a_real = np.concatenate([design.real, design.imag], axis=1).T
     y_real = np.concatenate([y.real, y.imag])
-    # rcond truncates noise directions of the (possibly rank-deficient) design
-    # matrix; keeping them blows up the solution and corrupts the residual
-    sol = np.linalg.lstsq(a_real, -y_real, rcond=1e-12)[0]
-    return float(np.linalg.norm(a_real @ sol + y_real) ** 2)
+    u, sv, vt = np.linalg.svd(a_real, full_matrices=False)
+    # the cut drops noise directions of a (nearly) rank-deficient design;
+    # the residual is y's part outside the kept columns of u, because
+    # a_real @ x + y_real cancels the 1/sv growth of x only to roundoff
+    keep = sv > 1e-12 * sv[0]
+    coeffs = u[:, keep].T @ y_real
+    resid = y_real - u[:, keep] @ coeffs
+    x = -vt[keep].T @ (coeffs / sv[keep])
+    return float(resid @ resid), np.tensordot(x, basis, 1)
+
+
+def _kraus_arrays(ch: OneParamChannel):
+    return np.array([p.k for p in ch.kraus]), np.array([p.dk for p in ch.kraus])
+
+
+def channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
+    """Ancilla-assisted channel QFI ``4 min_h ||alpha(h)||``, certified by its dual.
+
+    By the minimax theorem the value equals ``4 max_rho min_h Tr(rho alpha(h))``.
+    The outer maximum runs by BFGS, from ``I/d``, over inputs
+    ``rho = (1 - eps) s s^dag / ||s||^2 + eps I/d`` with ``eps = INPUT_FLOOR``;
+    the floor keeps the least-squares argmin unique when the optimal input
+    is rank-deficient.  The gradient comes from the envelope theorem; while
+    the certificate below fails, up to ``POLISH_STEPS`` Newton steps follow
+    the BFGS run.  At the final ``rho*`` the argmin ``h_opt`` gives the upper bound
+    ``value = 4 lambda_max(alpha(h_opt))`` and the lower bound
+    ``4 Tr(rho* alpha(h_opt))``; ``gap`` is their difference, so the exact
+    QFI lies in ``[value - gap, value]``.  Raises :class:`ConvergenceError`
+    when ``gap > GAP_RTOL * value``.
+    """
+    k_ops, dk_ops = _kraus_arrays(ch)
+    d = ch.dim
+    floor = np.sqrt(INPUT_FLOOR / d) * np.eye(d)
+
+    def unpack(x):
+        s = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+        return s, np.hstack([np.sqrt(1.0 - INPUT_FLOOR) * s / np.linalg.norm(s), floor])
+
+    scale = _inner_min(k_ops, dk_ops, np.eye(d) / np.sqrt(d))[0]
+    if scale < 1e-24:
+        return ChannelQfiResult(0.0, GaugeMatrix(np.zeros((len(k_ops),) * 2)), 0.0, np.eye(d) / d)
+
+    def neg_value(x):
+        s, full = unpack(x)
+        f, h = _inner_min(k_ops, dk_ops, full)
+        alpha_s = _alpha(k_ops, dk_ops, h) @ s
+        norm2 = np.vdot(s, s).real
+        grad = 2.0 * (1.0 - INPUT_FLOOR) * (alpha_s - np.vdot(s, alpha_s).real / norm2 * s) / norm2
+        return -f / scale, -np.concatenate([grad.real.ravel(), grad.imag.ravel()]) / scale
+
+    x0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    x = minimize(neg_value, x0, jac=True, method="BFGS", options={"gtol": 1e-12, "maxiter": 1000}).x
+    for _ in range(POLISH_STEPS + 1):
+        _, full = unpack(x)
+        lower, h = _inner_min(k_ops, dk_ops, full)
+        value = 4.0 * float(np.linalg.eigvalsh(_alpha(k_ops, dk_ops, h))[-1])
+        gap = max(value - 4.0 * lower, 0.0)
+        if gap <= GAP_RTOL * value:
+            return ChannelQfiResult(value, GaugeMatrix(h), gap, full @ full.conj().T)
+        # BFGS stops about sqrt(machine eps) from the optimum, where its line
+        # search can no longer resolve the objective; a Newton step on the
+        # envelope gradient with a central-difference Hessian needs no
+        # objective values and reaches the gap floor that INPUT_FLOOR sets
+        t = 1e-6 * np.linalg.norm(x)
+        hess = np.column_stack(
+            [neg_value(x + t * e)[1] - neg_value(x - t * e)[1] for e in np.eye(len(x))]
+        ) / (2.0 * t)
+        x = x - np.linalg.lstsq(hess, neg_value(x)[1], rcond=1e-8)[0]
+    raise ConvergenceError(
+        f"dual solver stopped with relative duality gap {gap / value:.2e}",
+        best_value=value,
+        gap=gap,
+    )
 
 
 def _sphere_grid(n: int) -> np.ndarray:
@@ -403,26 +367,23 @@ def _sphere_grid(n: int) -> np.ndarray:
     return np.column_stack([theta, phi % (2.0 * np.pi)])
 
 
-def channel_qfi_no_ancilla(ch: OneParamChannel, grid: int = 400) -> float:
-    """Ancilla-free channel QFI ``4 sup_psi min_h Tr(psi . )`` for a qubit channel.
+def channel_qfi_no_ancilla(ch: OneParamChannel) -> float:
+    """Ancilla-free channel QFI ``4 sup_psi min_h <psi|alpha(h)|psi>`` for a qubit channel.
 
-    The inner minimization is exact for each pure input; the outer supremum
-    uses a Fibonacci sphere grid followed by Nelder-Mead refinement from the
-    best grid points.
+    The inner minimum is the least-squares oracle of :func:`channel_qfi_ancilla`
+    at a pure input; the outer supremum uses a Fibonacci sphere grid followed
+    by Nelder-Mead refinement from the best grid points.
     """
     if ch.dim != 2:
         raise ValidationError("channel_qfi_no_ancilla expects a qubit channel")
-    k_ops = np.array([p.k for p in ch.kraus])
-    dk_ops = np.array([p.dk for p in ch.kraus])
-
-    def psi_of(angles):
-        th, ph = angles
-        return np.array([np.cos(th / 2.0), np.exp(1j * ph) * np.sin(th / 2.0)])
+    k_ops, dk_ops = _kraus_arrays(ch)
 
     def neg_obj(angles):
-        return -_inner_min(k_ops, dk_ops, psi_of(angles))
+        th, ph = angles
+        psi = np.array([[np.cos(th / 2.0)], [np.exp(1j * ph) * np.sin(th / 2.0)]])
+        return -_inner_min(k_ops, dk_ops, psi)[0]
 
-    pts = _sphere_grid(grid)
+    pts = _sphere_grid(SPHERE_GRID)
     vals = np.array([-neg_obj(p) for p in pts])
     order = np.argsort(vals)[::-1]
     best = vals[order[0]]

@@ -75,10 +75,13 @@ class DomainError(ValueError):
 
 
 def require_hermitian(op: np.ndarray, atol: float = HERM_ATOL, name: str = "operator") -> np.ndarray:
-    """Return ``op`` as a complex array after checking Hermiticity."""
+    """Return ``op`` as a complex array after checking it is finite and Hermitian."""
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {op.shape}")
+    # a nan entry would pass the Hermiticity test below, since nan > atol is False
+    if not np.isfinite(op).all():
+        raise ValidationError(f"{name} has non-finite entries")
     if np.abs(op - op.conj().T).max() > atol:
         raise ValidationError(f"{name} is not Hermitian within {atol:g}")
     return op

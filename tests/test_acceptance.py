@@ -325,7 +325,7 @@ def test_criterion_8_qfi_oracle_triangle():
     fd_ok = True
     for trial in range(20):
         ch = random_one_param_channel(rng, env=2)
-        value = channel_qfi_ancilla(ch, seed=trial).value
+        value = channel_qfi_ancilla(ch).value
         grid_value, fd_low = _grid_plus_fd_oracle(ch, rng)
         worst_channel = max(worst_channel, abs(value - grid_value) / max(grid_value, 1e-12))
         if fd_low > value * (1 + 1e-3) + 1e-9:

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,22 @@ class TestExitCodes:
         assert main(["--config", str(cfg_path), "sweep"]) == 4
         assert capsys.readouterr().err.startswith("error:domain:")
 
+    def test_non_finite_generator_is_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "nan.conf"
+        cfg_path.write_text("family.p = 0.1\nfamily.g0 = inf 0 0\nfamily.g1 = nan 0 0\n")
+        assert main(["--config", str(cfg_path), "classify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:config:")
+        assert captured.out == ""
+
+    def test_non_finite_pdot_is_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "pdot.conf"
+        out = tmp_path / "rows.csv"
+        cfg_path.write_text(EQ2.replace("pdot = 0", "pdot = nan") + "protocol.kind = sql\nn = 1..3\n")
+        assert main(["--config", str(cfg_path), "--out", str(out), "sweep"]) == 2
+        assert capsys.readouterr().err.startswith("error:config:")
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "s.conf"
         cfg_path.write_text(EQ2 + "seed = 1\n")
@@ -233,3 +252,21 @@ class TestOtherCommands:
         buf = io.StringIO()
         cmd_bound(cfg, out=buf)
         assert "rgnks_violated_bound" in buf.getvalue()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_qmetro_help(self):
+        import qmetro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qmetro.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmetro", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "usage: qmetro" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr

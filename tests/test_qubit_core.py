@@ -23,6 +23,7 @@ from qmetro.qubit_core import (
     ptm_from_kraus,
     random_cptp_kraus,
     random_unitary,
+    require_hermitian,
     validate_cptp,
 )
 
@@ -154,6 +155,15 @@ class TestChoi:
         for _ in range(100):
             report = validate_cptp(choi_from_kraus(random_cptp_kraus(rng)))
             assert report.is_cp and report.is_tp
+
+
+class TestRequireHermitian:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # nan > atol is False, so a nan entry must not pass as Hermitian
+        op = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            require_hermitian(op)
 
 
 class TestValidateCptp:
