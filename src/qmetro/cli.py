@@ -12,9 +12,9 @@ raised by the numerical modules.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 THREADS_ENV = "QMETRO_THREADS"
+MAX_N_VALUES = 10**6  # longest 'n = lo..hi' range a config may ask for
 PROTOCOLS = ("sql", "spam", "repeated", "qec", "no_control")
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
@@ -121,6 +122,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 if len(toks) != 3:
                     raise ConfigError(f"field {name!r}: expected 3 Pauli coefficients")
                 c = [float(t) for t in toks]
+                if not all(math.isfinite(x) for x in c):
+                    raise ConfigError(f"field {name!r}: Pauli coefficients must be finite")
                 triples[name] = c[0] * X + c[1] * Y + c[2] * Z
             family = DephasingFamily(p, pdot, triples["family.g0"], triples["family.g1"])
         except ConfigError:
@@ -145,14 +148,17 @@ def parse_config(text: str) -> ExperimentConfig:
     if "n" in fields:
         spec = fields.pop("n").strip()
         if spec:
+            ends = spec.split("..", 1) if ".." in spec else None
             try:
-                if ".." in spec:
-                    lo, hi = spec.split("..", 1)
-                    n_values = tuple(range(int(lo), int(hi) + 1))
-                else:
-                    n_values = tuple(int(tok) for tok in spec.split())
+                ints = [int(tok) for tok in (ends or spec.split())]
             except ValueError:
                 raise ConfigError(f"field 'n': expected integers or 'lo..hi', got {spec!r}") from None
+            if ends is None:
+                n_values = tuple(ints)
+            elif ints[1] - ints[0] >= MAX_N_VALUES:
+                raise ConfigError(f"field 'n': range {spec!r} holds more than {MAX_N_VALUES} values")
+            else:
+                n_values = tuple(range(ints[0], ints[1] + 1))
 
     cfg = ExperimentConfig(
         family=family,
@@ -293,31 +299,31 @@ def _sweep_value(cfg: ExperimentConfig, protocol: str, n: int) -> float:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out=sys.stdout, threads: int = 1) -> int:
-    """One CSV row per (protocol, n); deterministic given the seed."""
+    """One CSV row per (protocol, n), computed in order.
+
+    ``threads`` is accepted for compatibility and ignored: each row costs
+    O(log n) in-line.
+    """
     if cfg.family is None:
         raise ConfigError("sweep needs a family.* block")
     if cfg.protocol is None:
         raise ConfigError("sweep needs protocol.kind")
     header = "protocol,n,p,w,q,interval,value\n"
     rows = []
-    jobs = list(cfg.n_values)
-    if jobs:
-        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-            values = list(pool.map(lambda n: _sweep_value(cfg, cfg.protocol, n), jobs))
-        for n, value in zip(jobs, values):
-            rows.append(
-                ",".join(
-                    [
-                        cfg.protocol,
-                        str(n),
-                        _fmt(cfg.family.p),
-                        _fmt(cfg.w),
-                        _fmt(cfg.q),
-                        str(cfg.interval),
-                        _fmt(value),
-                    ]
-                )
+    for n in cfg.n_values:
+        rows.append(
+            ",".join(
+                [
+                    cfg.protocol,
+                    str(n),
+                    _fmt(cfg.family.p),
+                    _fmt(cfg.w),
+                    _fmt(cfg.q),
+                    str(cfg.interval),
+                    _fmt(_sweep_value(cfg, cfg.protocol, n)),
+                ]
             )
+        )
     text = header + "".join(row + "\n" for row in rows)
     if cfg.out:
         _write_file(cfg.out, text)
@@ -340,7 +346,7 @@ def cmd_figure2(
     Emits one row per n with one column per curve: the analytic QEC
     Heisenberg scaling, the unitary-control protocol at each SPAM rate, the
     repeated-measurement protocol (interval 6), and the control-free
-    constant-QFI baseline.
+    constant-QFI baseline.  ``threads`` is accepted and ignored.
     """
     fam = channel_model.x_rotation_dephasing(p)
     labels = ["qec_analytic"] + [f"sql_q{q:g}" for q in q_list] + ["repeated_measurement", "no_control"]
@@ -359,16 +365,13 @@ def cmd_figure2(
         )
         return vals
 
-    ns = list(range(1, n_max + 1))
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        table = list(pool.map(row_for, ns))
     lines = [
         "# strategy comparison at p = %s, w = %s; one column per curve\n" % (_fmt(p), _fmt(w)),
         "# gnuplot: plot for [c=2:%d] 'figure2.csv' using 1:c with lines\n" % (len(labels) + 1),
         "n," + ",".join(labels) + "\n",
     ]
-    for n, vals in zip(ns, table):
-        lines.append(str(n) + "," + ",".join(_fmt(v) for v in vals) + "\n")
+    for n in range(1, n_max + 1):
+        lines.append(str(n) + "," + ",".join(_fmt(v) for v in row_for(n)) + "\n")
     text = "".join(lines)
     if out_path:
         _write_file(out_path, text)
@@ -418,7 +421,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser, subcommand: bool = False)
         "--threads",
         type=int,
         default=default,
-        help=f"worker threads for sweeps (default: ${THREADS_ENV} or 1)",
+        help="accepted for compatibility and ignored: rows are computed in-line "
+        f"(default: ${THREADS_ENV} or 1)",
     )
 
 

@@ -8,9 +8,21 @@ dephasing family the one-step update under a control ``(t_k, T_k)`` is
     ``dv_k = T_k D v_{k-1} + T_k M dv_{k-1}``
 
 with ``M = diag(1-2p, 1-2p, 1)`` and the drive matrix ``D`` assembled from
-``Tr(G± {X,Y,Z})`` and ``pdot``.  The QEC protocol is the exception: it
-propagates the full two-qubit density matrix and its derivative through the
-repetition-code recovery channel.
+``Tr(G± {X,Y,Z})`` and ``pdot``.  The update is affine in
+``z = (v, dv, 1) ∈ R⁷``: a channel with Bloch data ``(t, T; dt, dT)`` lifts
+to the 7x7 matrix ``[[T, 0, t], [dT, T, dt], [0, 0, 1]]`` and a control to
+``[[T_k, 0, t_k], [0, T_k, 0], [0, 0, 1]]``.  A constant control therefore
+runs ``n`` steps as one matrix power ``(C K)^n z_0`` in O(log n) products,
+carried out on the offset ``C K - I`` so that it rounds no worse than the
+step-by-step loop; per-step controls (and trajectory recording) apply the
+lifted steps one by one.
+
+The QEC protocol propagates the full two-qubit density matrix and its
+derivative through the repetition-code recovery channel.  One step is the
+linear map ``(rho, drho) -> (R D rho, R A D rho + R D drho)`` on row-major
+vectorized 4x4 matrices (``D`` dephasing, ``A`` the generator commutator,
+``R`` the recovery), a 32x32 superoperator that is likewise raised to the
+power ``n``.
 """
 
 from __future__ import annotations
@@ -91,11 +103,6 @@ class ControlSequence:
     def identity() -> "ControlSequence":
         return ControlSequence(PauliTransferMap.identity())
 
-    def at(self, k: int) -> PauliTransferMap:
-        if self.constant:
-            return self.maps[0]
-        return self.maps[k]
-
     def require_length(self, n: int):
         if not self.constant and len(self.maps) < n:
             raise ValidationError(f"need {n} controls, have {len(self.maps)}")
@@ -155,11 +162,43 @@ class BlochKernel:
         dt, dT = ptm_derivative_from_kraus((p.k, p.dk) for p in ch.kraus)
         return BlochKernel(ptm.t, ptm.T, dt, dT)
 
-    def step(self, control: PauliTransferMap, v: np.ndarray, dv: np.ndarray):
-        """One channel application followed by the control (value and derivative)."""
-        v_mid = self.t + self.T @ v
-        dv_mid = self.dt + self.dT @ v + self.T @ dv
-        return control.t + control.T @ v_mid, control.T @ dv_mid
+    def lifted(self) -> np.ndarray:
+        """The 7x7 affine map of one channel use on ``(v, dv, 1)``."""
+        return _lift(self.t, self.T, self.dt, self.dT)
+
+
+def _lift(t, T, dt=0.0, dT=0.0) -> np.ndarray:
+    """``[[T, 0, t], [dT, T, dt], [0, 0, 1]]``, batched over leading axes of ``T``.
+
+    A control map has no derivative part: ``dt = dT = 0``.
+    """
+    T = np.asarray(T)
+    s = np.zeros(T.shape[:-2] + (7, 7))
+    s[..., :3, :3] = s[..., 3:6, 3:6] = T
+    s[..., 3:6, :3] = dT
+    s[..., :3, 6] = t
+    s[..., 3:6, 6] = dt
+    s[..., 6, 6] = 1.0
+    return s
+
+
+def _power_minus_identity(e: np.ndarray, n: int) -> np.ndarray:
+    """``(I + e)^n - I`` by binary powering carried out on the offset from ``I``.
+
+    Squaring ``I + e`` directly rounds each product against the identity, so
+    the error along an eigenvalue near 1 doubles with every squaring and
+    reaches ``n eps``.  ``(I + a)(I + b) - I = a + b + ab`` rounds against
+    ``|a|`` and ``|b|`` instead, which keeps the power as accurate as the
+    step-by-step loop (the QFI of a nearly pure state divides by ``1 - |v|^2``).
+    """
+    f = np.zeros_like(e)
+    while n:
+        if n & 1:
+            f = f + e + f @ e
+        n >>= 1
+        if n:
+            e = 2.0 * e + e @ e
+    return f
 
 
 def _kernel_of(fam) -> BlochKernel:
@@ -181,25 +220,36 @@ def simulate_sequence(
 ) -> ProtocolResult:
     """Propagate (v, dv) through ``n`` channel applications with interleaved controls.
 
-    Returns the QFI of the terminal state.  Trajectory recording is opt-in so
-    that long runs stay allocation-light.
+    Returns the QFI of the terminal state.  A constant control without
+    trajectory recording costs one 7x7 matrix power; otherwise the lifted
+    steps are applied one at a time.  Each step ``C K`` is held as its
+    offset ``C K - I``, formed from the exact offsets of ``C`` and ``K``.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
     kernel = _kernel_of(fam)
     controls.require_length(n)
-    v = np.array(v0.v, dtype=float)
-    dv = np.array(v0.dv, dtype=float)
-    traj = [BlochState(v.copy(), dv.copy())] if record_trajectory else None
-    for k in range(n):
-        v, dv = kernel.step(controls.at(k), v, dv)
-        if record_trajectory:
-            traj.append(BlochState(v.copy(), dv.copy()))
+    eye = np.eye(7)
+    k = kernel.lifted() - eye
+    maps = controls.maps[: 1 if controls.constant else n]
+    shifts = np.reshape([m.t for m in maps], (-1, 3))
+    c = _lift(shifts, np.reshape([m.T for m in maps], (-1, 3, 3))) - eye
+    steps = c + k + c @ k
+    z = np.concatenate([v0.v, v0.dv, [1.0]])
+    traj = [z] if record_trajectory else None
+    if controls.constant and not record_trajectory:
+        z = z + _power_minus_identity(steps[0], n) @ z
+    else:
+        for i in range(n):
+            z = z + steps[0 if controls.constant else i] @ z
+            if traj is not None:
+                traj.append(z)
+    v, dv = z[:3], z[3:6]
     return ProtocolResult(
         n=n,
         qfi_or_fi=qfi_bloch((v, dv)),
         terminal=BlochState(v, dv),
-        trajectory=tuple(traj) if record_trajectory else None,
+        trajectory=None if traj is None else tuple(BlochState(s[:3], s[3:6]) for s in traj),
     )
 
 
@@ -354,13 +404,33 @@ def spam_povm(q: float) -> Povm:
 # ---------------------------------------------------------------------------
 
 
+def _qec_transfer(p: float) -> np.ndarray:
+    """32x32 map of one QEC step on ``(vec rho, vec drho)``, row-major vectorization.
+
+    ``vec(A X B) = (A ⊗ Bᵀ) vec(X)``; the syndrome projectors
+    ``P± = (I ± X⊗Z_A)/2`` are built exactly, so ``P+ + P- = I`` holds in
+    floating point and the trace does not drift with ``n``.
+    """
+    z1 = np.kron(Z, I2)
+    x1 = np.kron(X, I2)
+    eye = np.eye(4)
+    p_plus = (eye + np.kron(X, Z)) / 2.0
+    flip = z1 @ (eye - np.kron(X, Z)) / 2.0  # Z on the probe after the -1 projector
+    dephase = (1.0 - p) * np.eye(16) + p * np.kron(z1, z1)
+    drive = -1j * (np.kron(x1, eye) - np.kron(eye, x1))
+    recover = np.kron(p_plus, p_plus) + np.kron(flip, flip)
+    step = recover @ dephase
+    return np.block([[step, np.zeros((16, 16))], [recover @ drive @ dephase, step]])
+
+
 def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
     """Error-corrected estimation of the dephasing + X-rotation channel.
 
     Input ``(|+>|0>_A + |->|1>_A)/sqrt(2)``; each step applies the channel to
     the probe qubit, measures the syndrome ``X x Z_A`` and applies
     ``Z x I`` on outcome -1.  The recovery is realized as the deterministic
-    sum over syndrome branches, and the terminal QFI reproduces
+    sum over syndrome branches, the ``n`` steps as one power of the 32x32
+    step superoperator, and the terminal QFI reproduces
     ``4 (1-2p)^2 n^2``.
     """
     if not 0.0 < p <= 0.5:
@@ -372,27 +442,9 @@ def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
     psi0 = (np.kron(plus, e0) + np.kron(minus, e1)) / np.sqrt(2.0)
-    rho = np.outer(psi0, psi0.conj()).astype(complex)
-    drho = np.zeros((4, 4), dtype=complex)
-    z1 = np.kron(Z, I2)
-    x1 = np.kron(X, I2)
-    syndrome = np.kron(X, Z)
-    lam, vecs = np.linalg.eigh(syndrome)
-    p_plus = vecs[:, lam > 0] @ vecs[:, lam > 0].conj().T
-    p_minus = vecs[:, lam < 0] @ vecs[:, lam < 0].conj().T
-
-    def dephase(op):
-        return (1.0 - p) * op + p * (z1 @ op @ z1)
-
-    def recover(op):
-        return p_plus @ op @ p_plus + z1 @ (p_minus @ op @ p_minus) @ z1
-
-    for _ in range(n):
-        mid = dephase(rho)
-        dmid = dephase(drho) - 1j * (x1 @ mid - mid @ x1)
-        rho = recover(mid)
-        drho = recover(dmid)
-    qfi = qfi_state(DensityState(rho, drho))
+    z = np.concatenate([np.outer(psi0, psi0).ravel(), np.zeros(16)])
+    z = z + _power_minus_identity(_qec_transfer(p) - np.eye(32), n) @ z
+    qfi = qfi_state(DensityState(z[:16].reshape(4, 4), z[16:].reshape(4, 4)))
     return ProtocolResult(n=n, qfi_or_fi=qfi, meta={"p": p, "code": "two_qubit_repetition"})
 
 

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,36 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:config:")
         assert not out.exists()
 
+    def test_non_finite_generator_warns_nothing(self, tmp_path, capsys):
+        # the coefficient tokens are checked before they multiply the Paulis
+        cfg_path = tmp_path / "inf.conf"
+        cfg_path.write_text("family.p = 0.1\nfamily.g0 = inf 0 0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(cfg_path), "classify"]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_huge_n_range_is_2(self, tmp_path, capsys):
+        # rejected before the range is built, so no memory is spent on it
+        cfg_path = tmp_path / "range.conf"
+        out = tmp_path / "rows.csv"
+        cfg_path.write_text(EQ2 + "protocol.kind = sql\nn = 1..1000000000000\n")
+        assert main(["--config", str(cfg_path), "--out", str(out), "sweep"]) == 2
+        assert capsys.readouterr().err.startswith("error:config:")
+        assert not out.exists()
+        assert len(parse_config(EQ2 + "n = 1..1000000").n_values) == 1_000_000
+        with pytest.raises(ConfigError):
+            parse_config(EQ2 + "n = 0..1000000")
+
+    def test_qec_sweep_at_large_n(self, tmp_path):
+        cfg_path = tmp_path / "qec.conf"
+        out = tmp_path / "qec.csv"
+        cfg_path.write_text(EQ2.replace("0.1", "0.13") + "protocol.kind = qec\nn = 5000\n")
+        assert main(["--config", str(cfg_path), "--out", str(out), "sweep"]) == 0
+        value = float(out.read_text().splitlines()[1].split(",")[-1])
+        assert np.isclose(value, 4 * (1 - 2 * 0.13) ** 2 * 5000**2, rtol=1e-12)
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "s.conf"
         cfg_path.write_text(EQ2 + "seed = 1\n")
@@ -217,6 +248,14 @@ class TestThreadDefaults:
         monkeypatch.delenv(THREADS_ENV)
         args = parser.parse_args(["classify"])
         assert _thread_count(args) == 1
+
+    def test_thread_flag_changes_no_byte(self, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"fig2_t{threads}.csv")
+            argv = ["figure2", "--n-max", "50", "--threads", threads, "--out", str(outs[-1])]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestOtherCommands:

@@ -9,8 +9,10 @@ from qmetro.channel_model import (
     random_dephasing_family,
     x_rotation_dephasing,
 )
-from qmetro.fisher_info import qfi_bloch
+from qmetro.fisher_info import qfi_bloch, qfi_state
 from qmetro.protocols import (
+    SQL_VARIANTS,
+    BlochKernel,
     ControlSequence,
     no_control_fixed_point,
     qec_analytic,
@@ -23,10 +25,12 @@ from qmetro.protocols import (
     sql_protocol,
 )
 from qmetro.qubit_core import (
+    I2,
     X,
     Y,
     Z,
     BlochState,
+    DensityState,
     DomainError,
     PauliTransferMap,
     ptm_from_kraus,
@@ -36,6 +40,45 @@ from qmetro.qubit_core import (
 
 ZERO = np.zeros((2, 2))
 POLE = BlochState([0.0, 0.0, 1.0], np.zeros(3))
+
+
+def step_loop(fam, controls, v0, n):
+    """Oracle: the per-step (v, dv) update, one channel use then one control at a time."""
+    kernel = BlochKernel.from_family(fam)
+    v, dv = np.array(v0.v), np.array(v0.dv)
+    for k in range(n):
+        c = controls.maps[0 if controls.constant else k]
+        v_mid = kernel.t + kernel.T @ v
+        dv_mid = kernel.dt + kernel.dT @ v + kernel.T @ dv
+        v, dv = c.t + c.T @ v_mid, c.T @ dv_mid
+    return v, dv
+
+
+def qec_loop(p, n):
+    """Oracle: the repetition-code step on the 4x4 density matrix and its derivative."""
+    z1, x1 = np.kron(Z, I2), np.kron(X, I2)
+    p_plus = (np.eye(4) + np.kron(X, Z)) / 2.0
+    p_minus = np.eye(4) - p_plus
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
+    psi0 = (np.kron(plus, [1.0, 0.0]) + np.kron(minus, [0.0, 1.0])) / np.sqrt(2.0)
+    rho = np.outer(psi0, psi0).astype(complex)
+    drho = np.zeros((4, 4), dtype=complex)
+
+    def dephase(op):
+        return (1.0 - p) * op + p * (z1 @ op @ z1)
+
+    def recover(op):
+        return p_plus @ op @ p_plus + z1 @ (p_minus @ op @ p_minus) @ z1
+
+    for _ in range(n):
+        mid = dephase(rho)
+        dmid = dephase(drho) - 1j * (x1 @ mid - mid @ x1)
+        rho, drho = recover(mid), recover(dmid)
+    return rho, drho
+
+
+def rel_dist(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(b), 1e-300)
 
 
 class TestSimulateSequence:
@@ -106,6 +149,75 @@ class TestSimulateSequence:
             assert np.allclose(res.terminal.v, v_fd, atol=1e-10)
             assert np.allclose(res.terminal.dv, dv_fd, atol=1e-6)
             assert np.isclose(res.qfi_or_fi, qfi_bloch((v_fd, dv_fd)), atol=1e-6)
+
+
+class TestTransferMatrix:
+    # every SQL variant has signal: Tr(G0 X), Tr(G0 Y), Tr(G1 X), Tr(G1 Y) != 0
+    FAM = DephasingFamily(0.1, 0.3, X + 0.5 * Y + Z, 0.7 * X - Y + 0.2 * Z)
+
+    def test_sql_matrix_power_matches_step_loop(self):
+        for variant in SQL_VARIANTS:
+            for n in (1, 2, 7, 200, 10_000, 100_000):
+                res = sql_protocol(self.FAM, n, 0.01, variant=variant)
+                control = ControlSequence(sql_control_ptm(variant, np.sqrt(0.01 / n)))
+                v, dv = step_loop(self.FAM, control, POLE, n)
+                assert rel_dist(res.terminal.v, v) <= 1e-9
+                assert rel_dist(res.terminal.dv, dv) <= 1e-9
+                assert rel_dist(res.qfi_or_fi, qfi_bloch((v, dv))) <= 1e-9
+
+    def test_sql_slope_at_a_million_steps(self):
+        fam = x_rotation_dephasing(0.1)
+        n = 1_000_000
+        res = sql_protocol(fam, n, 0.01)
+        assert rel_dist(res.qfi_or_fi / n, sql_asymptotic(fam, 0.01)) <= 1e-4
+
+    def test_trajectory_leaves_terminal_unchanged(self, rng):
+        fam = random_dephasing_family(rng)
+        n = 40
+        maps = [ptm_from_kraus(random_cptp_kraus(rng)) for _ in range(n)]
+        seq = ControlSequence(maps, constant=False)
+        v0 = BlochState(0.5 * np.array([0.6, 0.0, 0.8]), np.zeros(3))
+        plain = simulate_sequence(fam, seq, v0, n)
+        traced = simulate_sequence(fam, seq, v0, n, record_trajectory=True)
+        assert np.array_equal(plain.terminal.v, traced.terminal.v)
+        assert np.array_equal(plain.terminal.dv, traced.terminal.dv)
+        assert np.array_equal(traced.trajectory[-1].v, traced.terminal.v)
+        v, dv = step_loop(fam, seq, v0, n)
+        assert np.allclose(plain.terminal.v, v, atol=1e-12)
+        assert np.allclose(plain.terminal.dv, dv, atol=1e-12)
+        for k in (0, 1, 17):
+            v, dv = step_loop(fam, seq, v0, k)
+            assert np.allclose(traced.trajectory[k].v, v, atol=1e-12)
+            assert np.allclose(traced.trajectory[k].dv, dv, atol=1e-12)
+
+    def test_constant_control_trajectory_matches_power(self):
+        control = ControlSequence(sql_control_ptm("g0y", 0.05))
+        plain = simulate_sequence(self.FAM, control, POLE, 300)
+        traced = simulate_sequence(self.FAM, control, POLE, 300, record_trajectory=True)
+        assert len(traced.trajectory) == 301
+        assert rel_dist(traced.terminal.v, plain.terminal.v) <= 1e-12
+        assert rel_dist(traced.terminal.dv, plain.terminal.dv) <= 1e-12
+
+    def test_qec_superoperator_matches_density_loop(self):
+        from qmetro.protocols import _qec_transfer
+
+        state = np.concatenate([qec_loop(0.1, 0)[0].ravel(), np.zeros(16)])
+        for p in (0.05, 0.13, 0.3, 0.5):
+            step = _qec_transfer(p)
+            for n in (0, 1, 2, 5, 50, 200):
+                rho, drho = qec_loop(p, n)
+                z = np.linalg.matrix_power(step, n) @ state
+                assert np.allclose(z[:16].reshape(4, 4), rho, rtol=0, atol=1e-12)
+                # drho grows like n, so its bound is relative
+                assert np.allclose(z[16:].reshape(4, 4), drho, rtol=0, atol=1e-12 * max(n, 1))
+                want = qfi_state(DensityState(rho, drho))
+                assert abs(qec_repetition_sim(p, n).qfi_or_fi - want) <= 1e-12 * max(want, 1.0)
+
+    def test_qec_at_large_n(self):
+        # the syndrome projectors are exact, so the trace cannot drift with n
+        for p in (0.05, 0.13, 0.3):
+            for n in (5000, 100_000, 1_000_000):
+                assert rel_dist(qec_repetition_sim(p, n).qfi_or_fi, qec_analytic(p, n)) <= 1e-12
 
 
 class TestControlSequence:
