@@ -13,6 +13,14 @@ recursion ``gamma_k = C_k o E(gamma_{k-1}) + ubeta_k`` from ``gamma_0 = 0``.
 With a suitable gauge choice the cross terms stay bounded, turning the naive
 quadratic bound into a linear one.
 
+The recursion runs in Pauli coordinates ``c_j = Tr(sigma_j A)``: ``iota``
+and ``gamma`` are real 4-vectors, the channel and each control 4x4 maps
+``[[1, 0], [t, T]]``, and each gauge fixes the coordinates ``a`` of ``alpha``,
+``b`` of ``beta`` and the map ``ubeta = U iota`` (:func:`step_coordinates`).
+A step adds ``2 iota.a`` and ``4 gamma.b``, sets ``gamma <- C (E gamma + U iota)``
+and ``iota <- C E iota``, and ``||gamma||_1 = max(|c_0|, |c_(1:)|)``.  The
+default gauge depends on ``iota`` and is recomputed only when ``iota`` changes.
+
 Closed-form constant ceilings are provided for dephasing families violating
 the RGNKS condition and for strictly contractive channels, together with the
 Bloch-vector inequality every CPTP qubit map satisfies.
@@ -34,16 +42,15 @@ from .channel_model import (
 )
 from .fisher_info import GaugeMatrix, channel_qfi_no_ancilla, eta_bound
 from .qubit_core import (
-    I2,
     Z,
     DomainError,
     PauliTransferMap,
     ValidationError,
-    apply_kraus,
-    choi_from_ptm,
+    pauli_compose,
+    pauli_decompose,
+    pauli_sandwich,
     ptm_from_kraus,
-    trace_norm,
-    validate_cptp,
+    require_cptp,
 )
 
 __all__ = [
@@ -58,6 +65,7 @@ __all__ = [
     "bloch_inequality_check",
     "BlochInequalityReport",
     "gauged_pairs",
+    "step_coordinates",
     "step_operators",
 ]
 
@@ -77,9 +85,7 @@ class ExtensionStep:
 
     def __post_init__(self):
         if not self.control.validated:
-            report = validate_cptp(choi_from_ptm(self.control))
-            if not (report.is_cp and report.is_tp):
-                raise ValidationError("control map is not CPTP")
+            require_cptp(self.control)
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,7 @@ def unital_gauge(fam: DephasingFamily) -> GaugeMatrix:
     ``h01 = h10 = -[(1-p) Tr(G0 Z) + p Tr(G1 Z)] / (4 sqrt(p(1-p)))``.
     """
     p = fam.p
-    num = (1.0 - p) * np.trace(fam.g0 @ Z).real + p * np.trace(fam.g1 @ Z).real
-    off = -num / (4.0 * np.sqrt(p * (1.0 - p)))
+    off = -pauli_decompose(fam.g_plus)[3] / (4.0 * np.sqrt(p * (1.0 - p)))
     return GaugeMatrix(np.array([[0.0, off], [off, 0.0]], dtype=complex))
 
 
@@ -137,20 +142,18 @@ def nonunital_gauge(fam: DephasingFamily, iota_prev: np.ndarray) -> GaugeMatrix:
     ``|Tr(iota Z)/2| < 1``; reduces to :func:`unital_gauge` at ``iota = I``.
     """
     p = fam.p
-    iota = np.asarray(iota_prev, dtype=complex)
-    z = np.trace(iota @ Z).real / 2.0
+    iota, gp, gm = (pauli_decompose(op) for op in (iota_prev, fam.g_plus, fam.g_minus))
+    z = iota[3] / 2.0
     if abs(z) >= 1.0:
         raise DomainError(f"|Tr(iota Z)/2| = {abs(z):.6g} >= 1: control too non-unital")
-    gp, gm = fam.g_plus, fam.g_minus
-    tr_gp_z = np.trace(gp @ Z).real
-    tr_gm_z = np.trace(gm @ Z).real
-    g_plus = np.trace(iota @ gp).real / 2.0 - tr_gp_z / 2.0 * z
-    g_minus = np.trace(iota @ gm).real / 2.0 - tr_gm_z / 2.0 * z
+    # Tr(A B) = c(A).c(B)/2 in Pauli coordinates
+    g_plus = iota @ gp / 4.0 - gp[3] / 2.0 * z
+    g_minus = iota @ gm / 4.0 - gm[3] / 2.0 * z
     sum_cond = -g_plus / (1.0 - z * z)  # (1-p) h00 + p h11
-    dif_cond = -g_minus - tr_gm_z / 2.0 * z  # (1-p) h00 - p h11
+    dif_cond = -g_minus - gm[3] / 2.0 * z  # (1-p) h00 - p h11
     h00 = (sum_cond + dif_cond) / (2.0 * (1.0 - p))
     h11 = (sum_cond - dif_cond) / (2.0 * p)
-    off = (z * g_plus / (1.0 - z * z) - tr_gp_z / 2.0) / (2.0 * np.sqrt(p * (1.0 - p)))
+    off = (z * g_plus / (1.0 - z * z) - gp[3] / 2.0) / (2.0 * np.sqrt(p * (1.0 - p)))
     return GaugeMatrix(np.array([[h00, off], [off, h11]], dtype=complex))
 
 
@@ -173,19 +176,25 @@ def gauged_pairs(ch: OneParamChannel, gauge: GaugeMatrix) -> list[tuple[np.ndarr
     return out
 
 
-def step_operators(pairs, iota: np.ndarray):
-    """``(alpha, beta, ubeta_identity)`` of one step before the control acts.
+def step_coordinates(pairs):
+    """Pauli coordinates ``(a, b, U)`` of ``alpha``, ``beta`` and ``iota -> ubeta``.
 
-    ``alpha = sum dK~^dag dK~`` and ``beta = i sum K~^dag dK~`` are invariant
-    under the control; the cross operator
-    ``ubeta = (i sum dK~ iota K~^dag - h.c.)/2`` is the one the control maps.
+    With the sandwich ``m = M(dK~, K~)``: ``a = M(dK~, dK~)[0]``,
+    ``U = -Im(m)/2`` and ``b = -Im(m[0]) = 2 U[0]``.
     """
-    alpha = sum(dk.conj().T @ dk for _, dk in pairs)
-    beta = 1j * sum(k.conj().T @ dk for k, dk in pairs)
-    beta = (beta + beta.conj().T) / 2.0
-    cross = 0.5j * sum(dk @ iota @ k.conj().T for k, dk in pairs)
-    ubeta = cross + cross.conj().T
-    return alpha, beta, ubeta
+    ks, dks = zip(*pairs)
+    u = -0.5 * pauli_sandwich(dks, ks).imag
+    return pauli_sandwich(dks, dks)[0].real, 2.0 * u[0], u
+
+
+def step_operators(pairs, iota: np.ndarray):
+    """``(alpha, beta, ubeta)`` of one step as 2x2 operators, for the given ``iota``.
+
+    ``alpha`` and ``beta`` are invariant under the control; ``ubeta`` is the
+    cross operator the control maps (see :func:`step_coordinates`).
+    """
+    a, b, u = step_coordinates(pairs)
+    return pauli_compose(a), pauli_compose(b), pauli_compose(u @ pauli_decompose(iota))
 
 
 def extension_bound(ch, steps) -> BoundReport:
@@ -206,32 +215,29 @@ def extension_bound(ch, steps) -> BoundReport:
         fam = None
     if base.dim != 2:
         raise ValidationError("extension_bound runs on qubit channels")
-
-    def channel_apply(op):
-        return apply_kraus([p.k for p in base.kraus], op)
-
-    iota = I2.copy()
-    gamma = np.zeros((2, 2), dtype=complex)
-    alpha_terms = []
-    cross_terms = []
-    gamma_norms = []
-    prev_gamma = None
+    ks = [p.k for p in base.kraus]
+    chan = pauli_sandwich(ks, ks).real / 2.0
+    chan[0] = (1.0, 0.0, 0.0, 0.0)  # trace preservation, exactly
+    iota = np.array([2.0, 0.0, 0.0, 0.0])  # coordinates of I
+    gamma = np.zeros(4)
+    alpha_terms, cross_terms, gamma_norms = [], [], []
+    gauge_key = control = None
     for step in steps:
-        if step.gauge is not None:
-            gauge = step.gauge
-        elif fam is not None:
-            gauge = nonunital_gauge(fam, iota)
-        else:
+        if step.gauge is None and fam is None:
             raise ValidationError("explicit gauges are required for general one-parameter channels")
-        pairs = gauged_pairs(base, gauge)
-        alpha, beta, ubeta0 = step_operators(pairs, iota)
-        alpha_terms.append(4.0 * np.trace(iota @ alpha).real)
-        if prev_gamma is not None:
-            cross_terms.append(8.0 * np.trace(prev_gamma @ beta).real)
-        gamma = step.control.apply_hermitian(channel_apply(gamma) + ubeta0)
-        gamma_norms.append(trace_norm(gamma))
-        iota = step.control.apply_hermitian(channel_apply(iota))
-        prev_gamma = gamma
+        key = id(step.gauge) if step.gauge is not None else iota.tobytes()
+        if key != gauge_key:
+            gauge = step.gauge if step.gauge is not None else nonunital_gauge(fam, pauli_compose(iota))
+            a, b, u = step_coordinates(gauged_pairs(base, gauge))
+            gauge_key = key
+        if step.control is not control:
+            control, c = step.control, step.control.matrix
+        alpha_terms.append(2.0 * (iota @ a))
+        if gamma_norms:
+            cross_terms.append(4.0 * (gamma @ b))
+        gamma = c @ (chan @ gamma + u @ iota)
+        gamma_norms.append(float(max(abs(gamma[0]), np.linalg.norm(gamma[1:]))))
+        iota = c @ (chan @ iota)
     total = float(sum(alpha_terms) + sum(cross_terms))
     return BoundReport(
         n=len(steps),

@@ -38,7 +38,8 @@ from .qubit_core import (
     PauliTransferMap,
     ValidationError,
     choi_from_kraus,
-    choi_from_ptm,
+    pauli_decompose,
+    require_cptp,
     require_hermitian,
     validate_cptp,
 )
@@ -276,12 +277,7 @@ def classify(ptm: PauliTransferMap, tol: float = CLASSIFY_TOL) -> ChannelClass:
     channel.  Values within ``_EDGE_GUARD * tol`` of the decision edge raise
     :class:`AmbiguousClassificationError`.
     """
-    report = validate_cptp(choi_from_ptm(ptm))
-    if not (report.is_cp and report.is_tp):
-        raise ValidationError(
-            f"map is not CPTP (min Choi eigenvalue {report.min_eigenvalue:.3e}, "
-            f"TP residual {report.tp_residual:.3e})"
-        )
+    require_cptp(ptm)
     svals = np.linalg.svd(ptm.T, compute_uv=False)
     svals = np.sort(svals)[::-1]
     edge = 1.0 - tol
@@ -419,13 +415,8 @@ def hnks_check(ch: OneParamChannel, tol: float = 1e-7) -> HnksResult:
 
 def rgnks_check(fam: DephasingFamily, tol: float = 1e-9) -> bool:
     """RGNKS on the supplied (G0, G1) parametrization: some generator has an X or Y part."""
-    traces = [
-        np.trace(fam.g0 @ X).real,
-        np.trace(fam.g0 @ Y).real,
-        np.trace(fam.g1 @ X).real,
-        np.trace(fam.g1 @ Y).real,
-    ]
-    return bool(max(abs(t) for t in traces) > tol)
+    transverse = [pauli_decompose(g)[1:3] for g in (fam.g0, fam.g1)]  # Tr(G X), Tr(G Y)
+    return bool(np.abs(transverse).max() > tol)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 THREADS_ENV = "QMETRO_THREADS"
-MAX_N_VALUES = 10**6  # longest 'n = lo..hi' range a config may ask for
+MAX_N_VALUES = 10**6  # longest 'n = lo..hi' range, and largest n 'bound' runs
 PROTOCOLS = ("sql", "spam", "repeated", "qec", "no_control")
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
@@ -220,7 +220,7 @@ def _family_ptm(cfg: ExperimentConfig) -> PauliTransferMap:
     raise ConfigError("config must define a family.* block or a ptm.* block")
 
 
-def cmd_classify(cfg: ExperimentConfig, out=sys.stdout) -> int:
+def cmd_classify(cfg: ExperimentConfig, out=None) -> int:
     """Print class tag, singular values and HNKS/RGNKS verdicts."""
     ptm = _family_ptm(cfg)
     result = classify(ptm)
@@ -236,13 +236,13 @@ def cmd_classify(cfg: ExperimentConfig, out=sys.stdout) -> int:
         # strictly contractive channels violate HNKS for every parametrization
         lines.append("hnks = violated (strictly contractive)")
     text = "\n".join(lines) + "\n"
-    out.write(text)
+    (sys.stdout if out is None else out).write(text)
     if cfg.out:
         _write_file(cfg.out, text)
     return 0
 
 
-def cmd_qfi(cfg: ExperimentConfig, out=sys.stdout) -> int:
+def cmd_qfi(cfg: ExperimentConfig, out=None) -> int:
     """Channel QFI with and without ancilla, plus the contraction bound eta."""
     if cfg.family is None:
         raise ConfigError("qfi needs a family.* block")
@@ -256,17 +256,19 @@ def cmd_qfi(cfg: ExperimentConfig, out=sys.stdout) -> int:
         ("eta_bound", eta),
     ]
     text = "quantity,value\n" + "\n".join(f"{k},{_fmt(v)}" for k, v in rows) + "\n"
-    out.write(text)
+    (sys.stdout if out is None else out).write(text)
     if cfg.out:
         _write_file(cfg.out, text)
     return 0
 
 
-def cmd_bound(cfg: ExperimentConfig, out=sys.stdout) -> int:
+def cmd_bound(cfg: ExperimentConfig, out=None) -> int:
     """Channel-extension bound with identity controls; CSV per-step rows."""
     if cfg.family is None:
         raise ConfigError("bound needs a family.* block")
     n = max(cfg.n_values) if cfg.n_values else 100
+    if n > MAX_N_VALUES:
+        raise ConfigError(f"bound: n = {n} is more than {MAX_N_VALUES} steps")
     steps = [bounds.ExtensionStep(PauliTransferMap.identity())] * n
     report = bounds.extension_bound(cfg.family, steps)
     header = f"# extension bound, n = {n}, total = {_fmt(report.total)}\n"
@@ -274,7 +276,7 @@ def cmd_bound(cfg: ExperimentConfig, out=sys.stdout) -> int:
     if not rgnks_check(cfg.family):
         extra = f"# rgnks_violated_bound = {_fmt(bounds.rgnks_violated_bound(cfg.family))}\n"
     text = header + extra + report.to_csv()
-    out.write(text)
+    (sys.stdout if out is None else out).write(text)
     if cfg.out:
         _write_file(cfg.out, text)
     return 0
@@ -298,7 +300,7 @@ def _sweep_value(cfg: ExperimentConfig, protocol: str, n: int) -> float:
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
-def cmd_sweep(cfg: ExperimentConfig, out=sys.stdout, threads: int = 1) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out=None, threads: int = 1) -> int:
     """One CSV row per (protocol, n), computed in order.
 
     ``threads`` is accepted for compatibility and ignored: each row costs
@@ -328,7 +330,7 @@ def cmd_sweep(cfg: ExperimentConfig, out=sys.stdout, threads: int = 1) -> int:
     if cfg.out:
         _write_file(cfg.out, text)
     else:
-        out.write(text)
+        (sys.stdout if out is None else out).write(text)
     return 0
 
 
@@ -338,7 +340,7 @@ def cmd_figure2(
     q_list: tuple = (0.0, 0.001, 0.02),
     n_max: int = 200,
     out_path: str | None = None,
-    out=sys.stdout,
+    out=None,
     threads: int = 1,
 ) -> int:
     """Desk-scale reproduction of the strategy-comparison figure.
@@ -376,7 +378,7 @@ def cmd_figure2(
     if out_path:
         _write_file(out_path, text)
     else:
-        out.write(text)
+        (sys.stdout if out is None else out).write(text)
     return 0
 
 

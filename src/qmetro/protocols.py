@@ -48,10 +48,10 @@ from .qubit_core import (
     PauliTransferMap,
     ValidationError,
     bloch_to_density,
-    choi_from_ptm,
+    pauli_decompose,
     ptm_derivative_from_kraus,
     ptm_from_kraus,
-    validate_cptp,
+    require_cptp,
 )
 
 __all__ = [
@@ -93,9 +93,7 @@ class ControlSequence:
             raise ValidationError("ControlSequence needs at least one map")
         for m in maps:
             if not m.validated:
-                report = validate_cptp(choi_from_ptm(m))
-                if not (report.is_cp and report.is_tp):
-                    raise ValidationError("control map is not CPTP")
+                require_cptp(m)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "constant", bool(constant))
 
@@ -142,9 +140,8 @@ class BlochKernel:
     def from_family(fam: DephasingFamily) -> "BlochKernel":
         p = fam.p
         m = np.diag([1.0 - 2.0 * p, 1.0 - 2.0 * p, 1.0])
-        gp, gm = fam.g_plus, fam.g_minus
-        tx, ty, tz = (np.trace(gm @ s).real for s in (X, Y, Z))
-        px, py = (np.trace(gp @ s).real for s in (X, Y))
+        _, tx, ty, tz = pauli_decompose(fam.g_minus)
+        _, px, py, _ = pauli_decompose(fam.g_plus)
         d = np.array(
             [
                 [-2.0 * fam.pdot, -tz, ty],
@@ -464,7 +461,5 @@ def no_control_fixed_point(fam: DephasingFamily, z0: float = 1.0) -> float:
     point of ``dv -> d + (1-2p) dv``, giving
     ``z0^2 (Tr(G- X)^2 + Tr(G- Y)^2) / (4 p^2)``.
     """
-    gm = fam.g_minus
-    tx = np.trace(gm @ X).real
-    ty = np.trace(gm @ Y).real
+    _, tx, ty, _ = pauli_decompose(fam.g_minus)
     return float(z0 * z0 * (tx * tx + ty * ty) / (4.0 * fam.p * fam.p))

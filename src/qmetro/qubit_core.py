@@ -8,6 +8,9 @@ Conventions used throughout the package:
 * The Pauli transfer map of a channel ``E`` is the affine pair ``(t, T)``
   acting on Bloch vectors as ``v -> t + T v``, with
   ``t_i = Tr(sigma_i E(I))/2`` and ``T_ij = Tr(sigma_i E(sigma_j))/2``.
+  On the Pauli coordinates ``c_j = Tr(sigma_j A)`` of a Hermitian ``A``
+  (``sigma_0 = I``) the channel is the real 4x4 matrix ``[[1, 0], [t, T]]``;
+  every conversion reads its entries from :func:`pauli_sandwich`.
 * Choi matrices use the unnormalized maximally entangled input
   ``|Omega> = sum_j |j>|j>`` (trace d for a trace-preserving channel on
   dimension d).  Both conventions appear in the literature; this one makes
@@ -38,6 +41,7 @@ __all__ = [
     "require_hermitian",
     "pauli_decompose",
     "pauli_compose",
+    "pauli_sandwich",
     "bloch_to_density",
     "density_to_bloch",
     "ptm_from_kraus",
@@ -47,8 +51,8 @@ __all__ = [
     "kraus_from_choi",
     "kraus_from_ptm",
     "validate_cptp",
+    "require_cptp",
     "apply_kraus",
-    "trace_norm",
     "random_cptp_kraus",
     "random_unitary",
     "random_rotation",
@@ -64,6 +68,10 @@ Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (I2, X, Y, Z)
 SIGMA = (X, Y, Z)
+# _SANDWICH[(i, j), (b, c, a, d)] = sigma_i[a, b] sigma_j[c, d]
+_SANDWICH = np.einsum("iab,jcd->ijbcad", PAULIS, PAULIS).reshape(16, 16)
+# _CHOI_BASIS[(i, j), (a, c, b, d)] = (sigma_i kron sigma_j^T)[(a, c), (b, d)]
+_CHOI_BASIS = np.einsum("iab,jdc->ijacbd", PAULIS, PAULIS).reshape(16, 16)
 
 
 class ValidationError(ValueError):
@@ -85,11 +93,6 @@ def require_hermitian(op: np.ndarray, atol: float = HERM_ATOL, name: str = "oper
     if np.abs(op - op.conj().T).max() > atol:
         raise ValidationError(f"{name} is not Hermitian within {atol:g}")
     return op
-
-
-def trace_norm(op: np.ndarray) -> float:
-    """Trace norm (sum of singular values)."""
-    return float(np.linalg.svd(np.asarray(op), compute_uv=False).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +169,16 @@ class PauliTransferMap:
     def apply_bloch(self, v: np.ndarray) -> np.ndarray:
         return self.t + self.T @ np.asarray(v, dtype=float)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The real 4x4 map ``[[1, 0], [t, T]]`` on Pauli coordinates."""
+        m = np.eye(4)
+        m[1:, 0], m[1:, 1:] = self.t, self.T
+        return m
+
     def apply_hermitian(self, op: np.ndarray) -> np.ndarray:
         """Channel action on a Hermitian 2x2 operator (trace is preserved)."""
-        c = pauli_decompose(op)
-        out = np.empty(4)
-        out[0] = c[0]
-        out[1:] = c[0] * self.t + self.T @ c[1:]
-        return pauli_compose(out)
+        return pauli_compose(self.matrix @ pauli_decompose(op))
 
     def compose(self, first: "PauliTransferMap") -> "PauliTransferMap":
         """Map of ``self`` applied after ``first``."""
@@ -237,7 +243,7 @@ def pauli_decompose(op: np.ndarray) -> np.ndarray:
     op = require_hermitian(op, name="operator")
     if op.shape != (2, 2):
         raise ValidationError("pauli_decompose expects a 2x2 operator")
-    return np.array([np.trace(op @ s).real for s in PAULIS])
+    return pauli_sandwich(op, I2)[:, 0].real  # M(op, I)_j0 = Tr(sigma_j op)
 
 
 def pauli_compose(c: np.ndarray) -> np.ndarray:
@@ -272,60 +278,49 @@ def apply_kraus(ops, rho: np.ndarray) -> np.ndarray:
     return sum(k @ rho @ k.conj().T for k in ops)
 
 
+def pauli_sandwich(left, right) -> np.ndarray:
+    """``M_ij = sum_k Tr(sigma_i L_k sigma_j R_k^dag)`` over paired 2x2 operators.
+
+    ``left`` and ``right`` are one 2x2 operator or equally long sequences of
+    them.  With ``L = R = K`` the Kraus operators of a channel ``E``,
+    ``M_ij = Tr(sigma_i E(sigma_j))``, twice its 4x4 Pauli transfer matrix.
+    """
+    left, right = (np.asarray(ops, dtype=complex) for ops in (left, right))
+    if left.shape[-2:] != (2, 2) or left.shape != right.shape:
+        raise ValidationError("pauli_sandwich expects paired 2x2 operators")
+    return (_SANDWICH @ (left.reshape(-1, 4).T @ right.reshape(-1, 4).conj()).ravel()).reshape(4, 4)
+
+
 def ptm_from_kraus(ks: KrausSet) -> PauliTransferMap:
     """Pauli transfer map ``t_i = Tr(sigma_i E(I))/2``, ``T_ij = Tr(sigma_i E(sigma_j))/2``."""
     if ks.dim != 2:
         raise ValidationError("ptm_from_kraus expects a qubit Kraus set")
-    e_id = apply_kraus(ks.ops, I2)
-    t = np.array([np.trace(s @ e_id).real / 2.0 for s in SIGMA])
-    T = np.empty((3, 3))
-    for j, sj in enumerate(SIGMA):
-        out = apply_kraus(ks.ops, sj)
-        for i, si in enumerate(SIGMA):
-            T[i, j] = np.trace(si @ out).real / 2.0
+    m = pauli_sandwich(ks.ops, ks.ops).real / 2.0
     choi = choi_from_kraus(ks)
     validated = bool(np.linalg.eigvalsh(choi).min() >= -PSD_ATOL)
-    return PauliTransferMap(t, T, validated=validated)
+    return PauliTransferMap(m[1:, 0], m[1:, 1:], validated=validated)
 
 
 def ptm_derivative_from_kraus(pairs) -> tuple[np.ndarray, np.ndarray]:
     """Derivative (dt, dT) of the Pauli transfer map of a one-parameter channel.
 
-    ``pairs`` is an iterable of ``(K_i, dK_i)`` at the true parameter value.
+    ``pairs`` is an iterable of ``(K_i, dK_i)`` at the true parameter value;
+    the 4x4 derivative is ``(M(dK, K) + M(K, dK))/2 = Re M(dK, K)``.
     """
-    pairs = [(np.asarray(k, dtype=complex), np.asarray(dk, dtype=complex)) for k, dk in pairs]
-
-    def dE(a):
-        return sum(dk @ a @ k.conj().T + k @ a @ dk.conj().T for k, dk in pairs)
-
-    dt = np.array([np.trace(s @ dE(I2)).real / 2.0 for s in SIGMA])
-    dT = np.empty((3, 3))
-    for j, sj in enumerate(SIGMA):
-        out = dE(sj)
-        for i, si in enumerate(SIGMA):
-            dT[i, j] = np.trace(si @ out).real / 2.0
-    return dt, dT
+    ks, dks = zip(*pairs)
+    m = pauli_sandwich(dks, ks).real
+    return m[1:, 0], m[1:, 1:]
 
 
 def choi_from_kraus(ks: KrausSet) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_i vec(K_i) vec(K_i)^dag`` (row-major vec)."""
-    d = ks.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in ks.ops:
-        v = np.asarray(k).reshape(-1)
-        out += np.outer(v, v.conj())
-    return out
+    v = np.reshape(ks.ops, (len(ks), -1))
+    return v.T @ v.conj()
 
 
 def choi_from_ptm(ptm: PauliTransferMap) -> np.ndarray:
-    """Choi matrix of the qubit channel described by an affine Bloch map."""
-    e_id = I2 + ptm.t[0] * X + ptm.t[1] * Y + ptm.t[2] * Z
-    out = np.kron(e_id, I2)
-    for k, sk in enumerate(SIGMA):
-        col = ptm.T[:, k]
-        e_sk = col[0] * X + col[1] * Y + col[2] * Z
-        out += np.kron(e_sk, sk.T)
-    return out / 2.0
+    """Choi matrix ``sum_ij R_ij sigma_i kron sigma_j^T / 2`` of the 4x4 map ``R``."""
+    return (ptm.matrix.ravel() @ _CHOI_BASIS).reshape(4, 4) / 2.0
 
 
 def validate_cptp(choi: np.ndarray) -> CptpReport:
@@ -348,6 +343,16 @@ def validate_cptp(choi: np.ndarray) -> CptpReport:
         min_eigenvalue=min_eig,
         tp_residual=tp_residual,
     )
+
+
+def require_cptp(ptm: PauliTransferMap) -> None:
+    """Validate the Choi matrix of ``ptm``; raise :class:`ValidationError` unless CPTP."""
+    report = validate_cptp(choi_from_ptm(ptm))
+    if not (report.is_cp and report.is_tp):
+        raise ValidationError(
+            f"map is not CPTP (min Choi eigenvalue {report.min_eigenvalue:.3e}, "
+            f"TP residual {report.tp_residual:.3e})"
+        )
 
 
 def kraus_from_choi(choi: np.ndarray, tol: float = 1e-12) -> KrausSet:

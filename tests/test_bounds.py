@@ -18,6 +18,7 @@ from qmetro.channel_model import (
     dephasing_channel,
     depolarizing_kraus,
     random_dephasing_family,
+    random_one_param_channel,
     rotated_family,
     x_rotation_dephasing,
 )
@@ -31,6 +32,8 @@ from qmetro.qubit_core import (
     BlochState,
     DomainError,
     PauliTransferMap,
+    ValidationError,
+    apply_kraus,
     ptm_from_kraus,
     random_cptp_kraus,
     random_rotation,
@@ -43,6 +46,86 @@ IDENT = PauliTransferMap.identity()
 def identity_steps(fam, n):
     g = unital_gauge(fam)
     return [ExtensionStep(IDENT, g)] * n
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the recursion on 2x2 operators, step by step, with np.trace-built
+# gauges and traces, as it ran before the Pauli-coordinate form replaced it
+# ---------------------------------------------------------------------------
+
+
+def trace_nonunital_gauge(fam, iota):
+    p = fam.p
+    z = np.trace(iota @ Z).real / 2.0
+    if abs(z) >= 1.0:
+        raise DomainError("control too non-unital")
+    gp, gm = fam.g_plus, fam.g_minus
+    tr_gp_z = np.trace(gp @ Z).real
+    tr_gm_z = np.trace(gm @ Z).real
+    g_plus = np.trace(iota @ gp).real / 2.0 - tr_gp_z / 2.0 * z
+    g_minus = np.trace(iota @ gm).real / 2.0 - tr_gm_z / 2.0 * z
+    sum_cond = -g_plus / (1.0 - z * z)
+    dif_cond = -g_minus - tr_gm_z / 2.0 * z
+    h00 = (sum_cond + dif_cond) / (2.0 * (1.0 - p))
+    h11 = (sum_cond - dif_cond) / (2.0 * p)
+    off = (z * g_plus / (1.0 - z * z) - tr_gp_z / 2.0) / (2.0 * np.sqrt(p * (1.0 - p)))
+    return GaugeMatrix(np.array([[h00, off], [off, h11]], dtype=complex))
+
+
+def matrix_step_operators(pairs, iota):
+    alpha = sum(dk.conj().T @ dk for _, dk in pairs)
+    beta = 1j * sum(k.conj().T @ dk for k, dk in pairs)
+    beta = (beta + beta.conj().T) / 2.0
+    cross = 0.5j * sum(dk @ iota @ k.conj().T for k, dk in pairs)
+    return alpha, beta, cross + cross.conj().T
+
+
+def apply_control(ptm, op):
+    c = np.array([np.trace(op @ s).real for s in (I2, X, Y, Z)])
+    v = c[0] * ptm.t + ptm.T @ c[1:]
+    return (c[0] * I2 + v[0] * X + v[1] * Y + v[2] * Z) / 2.0
+
+
+def matrix_extension_bound(ch, steps):
+    """``(total, alpha_terms, cross_terms, gamma_norms)`` from the 2x2 step loop."""
+    if isinstance(ch, DephasingFamily):
+        base, fam = dephasing_channel(ch), ch
+    else:
+        base, fam = ch, None
+    ks = [p.k for p in base.kraus]
+    iota = I2.copy()
+    gamma = np.zeros((2, 2), dtype=complex)
+    alphas, crosses, norms = [], [], []
+    for k, step in enumerate(steps):
+        gauge = step.gauge if step.gauge is not None else trace_nonunital_gauge(fam, iota)
+        alpha, beta, ubeta0 = matrix_step_operators(gauged_pairs(base, gauge), iota)
+        alphas.append(4.0 * np.trace(iota @ alpha).real)
+        if k:
+            crosses.append(8.0 * np.trace(gamma @ beta).real)
+        gamma = apply_control(step.control, apply_kraus(ks, gamma) + ubeta0)
+        norms.append(np.linalg.svd(gamma, compute_uv=False).sum())
+        iota = apply_control(step.control, apply_kraus(ks, iota))
+    return sum(alphas) + sum(crosses), alphas, crosses, norms
+
+
+def assert_matches_oracle(report, oracle, rtol=1e-12):
+    """Total and every term to ``rtol``, relative to the term or, near 0, to the largest term."""
+    total, alphas, crosses, norms = oracle
+    assert abs(report.total - total) <= rtol * abs(total)
+    pairs = ((report.alpha_terms, alphas), (report.cross_terms, crosses), (report.gamma_norms, norms))
+    for got, want in pairs:
+        assert len(got) == len(want)
+        if want:
+            floor = rtol * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=floor)
+
+
+def mildly_nonunital_ptm(rng, max_weight=0.1):
+    """Rotation mixed with a replacement channel of weight at most ``max_weight``."""
+    lam = rng.uniform(0.0, max_weight)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return PauliTransferMap(lam * direction * rng.uniform() ** (1 / 3), (1 - lam) * random_rotation(rng))
 
 
 class TestExtensionBound:
@@ -124,6 +207,70 @@ class TestExtensionBound:
         assert lines[0] == "k,alpha_term,cross_term,gamma_norm,running_total"
         assert len(lines) == 4
         assert float(lines[-1].split(",")[-1]) > 0
+
+
+class TestPauliCoordinateOracle:
+    def test_random_unital_sequences(self, rng):
+        for _ in range(20):
+            fam = random_dephasing_family(rng, p_range=(0.05, 0.5))
+            n = int(rng.integers(1, 60))
+            steps = [ExtensionStep(random_unital_ptm(rng), unital_gauge(fam)) for _ in range(n)]
+            assert_matches_oracle(extension_bound(fam, steps), matrix_extension_bound(fam, steps))
+
+    def test_mildly_nonunital_sequences_default_gauge(self, rng):
+        for _ in range(20):
+            fam = random_dephasing_family(rng, p_range=(0.05, 0.5))
+            n = int(rng.integers(1, 60))
+            steps = [ExtensionStep(mildly_nonunital_ptm(rng), None) for _ in range(n)]
+            assert_matches_oracle(extension_bound(fam, steps), matrix_extension_bound(fam, steps))
+
+    def test_general_channel_explicit_gauges(self, rng):
+        channels = [rotated_family(depolarizing_kraus(0.5), X)]
+        channels += [random_one_param_channel(rng, env=env) for env in (2, 3, 4)]
+        for ch in channels:
+            r = len(ch.kraus)
+            gauges = []
+            for _ in range(3):
+                h = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+                gauges.append(GaugeMatrix((h + h.conj().T) / 2.0))
+            n = 30
+            steps = [ExtensionStep(mildly_nonunital_ptm(rng), gauges[k % 3]) for k in range(n)]
+            assert_matches_oracle(extension_bound(ch, steps), matrix_extension_bound(ch, steps))
+
+    def test_identity_controls_at_5000(self):
+        # the `qmetro bound` sequence: identity controls and the default gauge
+        fam = DephasingFamily(0.13, 0.4, X + 0.3 * Z, -0.6 * Y + 0.2 * Z)
+        steps = [ExtensionStep(IDENT)] * 5000
+        assert_matches_oracle(extension_bound(fam, steps), matrix_extension_bound(fam, steps))
+
+    def test_pole_iota_raises_domain_error(self):
+        # a reset to |0> drives iota to I + Z, where |Tr(iota Z)/2| = 1
+        fam = x_rotation_dephasing(0.1)
+        reset = ExtensionStep(PauliTransferMap([0.0, 0.0, 1.0], np.zeros((3, 3))))
+        with pytest.raises(DomainError):
+            extension_bound(fam, [reset, ExtensionStep(IDENT)])
+        extension_bound(fam, [ExtensionStep(reset.control, unital_gauge(fam))] * 2)
+
+    def test_gauges_match_trace_forms(self, rng):
+        for _ in range(50):
+            fam = random_dephasing_family(rng)
+            a = rng.normal(size=3)
+            iota = I2 + rng.uniform(0, 0.9) * (a[0] * X + a[1] * Y + a[2] * Z) / np.linalg.norm(a)
+            np.testing.assert_allclose(
+                nonunital_gauge(fam, iota).h, trace_nonunital_gauge(fam, iota).h, rtol=1e-12, atol=1e-12
+            )
+
+    def test_step_operators_match_matrix_forms(self, rng):
+        for _ in range(50):
+            fam = random_dephasing_family(rng)
+            pairs = gauged_pairs(dephasing_channel(fam), unital_gauge(fam))
+            iota = I2 + 0.5 * X - 0.2 * Z
+            for got, want in zip(step_operators(pairs, iota), matrix_step_operators(pairs, iota)):
+                assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    def test_non_cptp_control_rejected(self):
+        with pytest.raises(ValidationError, match="not CPTP"):
+            ExtensionStep(PauliTransferMap(np.zeros(3), 1.5 * np.eye(3)))
 
 
 class TestBoundValidity:

@@ -210,6 +210,17 @@ class TestExitCodes:
         with pytest.raises(ConfigError):
             parse_config(EQ2 + "n = 0..1000000")
 
+    def test_huge_bound_n_is_2(self, tmp_path, capsys):
+        # one n value above MAX_N_VALUES is rejected before any step is built
+        cfg_path = tmp_path / "bound.conf"
+        out = tmp_path / "bound.csv"
+        cfg_path.write_text(EQ2 + "n = 2000000\n")
+        assert main(["--config", str(cfg_path), "--out", str(out), "bound"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:config:")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_qec_sweep_at_large_n(self, tmp_path):
         cfg_path = tmp_path / "qec.conf"
         out = tmp_path / "qec.csv"
@@ -291,6 +302,27 @@ class TestOtherCommands:
         buf = io.StringIO()
         cmd_bound(cfg, out=buf)
         assert "rgnks_violated_bound" in buf.getvalue()
+
+
+class TestStdoutAtCallTime:
+    def test_bound_output_reaches_capsys(self, tmp_path, capsys):
+        cfg_path = tmp_path / "b.conf"
+        cfg_path.write_text(EQ2 + "n = 3\n")
+        assert main(["--config", str(cfg_path), "bound"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# extension bound, n = 3")
+        assert len(out.strip().splitlines()) == 5
+
+    def test_redirect_stdout_sees_every_command(self, tmp_path):
+        import contextlib
+
+        cfg_path = tmp_path / "s.conf"
+        cfg_path.write_text(EQ2 + "protocol.kind = sql\nn = 1 2\n")
+        for argv in (["classify"], ["bound"], ["sweep"], ["figure2", "--n-max", "2"]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["--config", str(cfg_path)] + argv) == 0
+            assert buf.getvalue(), argv
 
 
 class TestModuleEntryPoint:

@@ -18,14 +18,62 @@ from qmetro.qubit_core import (
     density_to_bloch,
     kraus_from_choi,
     kraus_from_ptm,
+    apply_kraus,
     pauli_compose,
     pauli_decompose,
+    pauli_sandwich,
+    ptm_derivative_from_kraus,
     ptm_from_kraus,
     random_cptp_kraus,
     random_unitary,
+    require_cptp,
     require_hermitian,
     validate_cptp,
 )
+
+SIGMA = (X, Y, Z)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the apply_kraus + np.trace loops and the kron-built Choi matrix
+# that the Pauli-sandwich conversions replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_ptm(ops):
+    e_id = apply_kraus(ops, I2)
+    t = np.array([np.trace(s @ e_id).real / 2.0 for s in SIGMA])
+    T = np.empty((3, 3))
+    for j, sj in enumerate(SIGMA):
+        out = apply_kraus(ops, sj)
+        for i, si in enumerate(SIGMA):
+            T[i, j] = np.trace(si @ out).real / 2.0
+    return t, T
+
+
+def loop_ptm_derivative(pairs):
+    def d_e(a):
+        return sum(dk @ a @ k.conj().T + k @ a @ dk.conj().T for k, dk in pairs)
+
+    dt = np.array([np.trace(s @ d_e(I2)).real / 2.0 for s in SIGMA])
+    dT = np.empty((3, 3))
+    for j, sj in enumerate(SIGMA):
+        out = d_e(sj)
+        for i, si in enumerate(SIGMA):
+            dT[i, j] = np.trace(si @ out).real / 2.0
+    return dt, dT
+
+
+def kron_choi(ptm):
+    out = np.kron(I2 + ptm.t[0] * X + ptm.t[1] * Y + ptm.t[2] * Z, I2)
+    for k, sk in enumerate(SIGMA):
+        col = ptm.T[:, k]
+        out += np.kron(col[0] * X + col[1] * Y + col[2] * Z, sk.T)
+    return out / 2.0
+
+
+def random_ops(rng, count):
+    return [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(count)]
 
 
 def dephasing_set(p):
@@ -58,6 +106,66 @@ class TestPauliDecompose:
     def test_round_trip(self, coeffs):
         op = pauli_compose(coeffs)
         assert np.allclose(pauli_decompose(op), coeffs, atol=1e-14)
+
+
+class TestPauliSandwich:
+    def test_definition(self, rng):
+        paulis = (I2, X, Y, Z)
+        for env in (1, 2, 3, 4):
+            left, right = random_ops(rng, env), random_ops(rng, env)
+            want = [
+                [sum(np.trace(si @ l @ sj @ r.conj().T) for l, r in zip(left, right)) for sj in paulis]
+                for si in paulis
+            ]
+            assert np.abs(pauli_sandwich(left, right) - want).max() <= 1e-13
+
+    def test_ptm_matches_loop(self, rng):
+        for env in (1, 2, 3, 4):
+            for _ in range(25):
+                ks = random_cptp_kraus(rng, env=env)
+                ptm = ptm_from_kraus(ks)
+                t, T = loop_ptm(ks.ops)
+                assert np.abs(ptm.t - t).max() <= 1e-14
+                assert np.abs(ptm.T - T).max() <= 1e-14
+
+    def test_ptm_derivative_matches_loop(self, rng):
+        for env in (1, 2, 3, 4):
+            for _ in range(25):
+                ks = random_cptp_kraus(rng, env=env)
+                pairs = list(zip(ks.ops, random_ops(rng, env)))
+                dt, dT = ptm_derivative_from_kraus(pairs)
+                dt_loop, dT_loop = loop_ptm_derivative(pairs)
+                scale = max(np.abs(dT_loop).max(), np.abs(dt_loop).max(), 1.0)
+                assert np.abs(dt - dt_loop).max() <= 1e-14 * scale
+                assert np.abs(dT - dT_loop).max() <= 1e-14 * scale
+
+    def test_choi_from_ptm_matches_kron(self, rng):
+        for env in (1, 2, 3, 4):
+            for _ in range(25):
+                ptm = ptm_from_kraus(random_cptp_kraus(rng, env=env))
+                assert np.abs(choi_from_ptm(ptm) - kron_choi(ptm)).max() <= 1e-14
+        inflated = PauliTransferMap([0, 0, 0.5], np.diag([0.9, 0.9, 0.9]))
+        assert np.abs(choi_from_ptm(inflated) - kron_choi(inflated)).max() <= 1e-14
+
+    def test_choi_from_ptm_matches_kraus_choi(self, rng):
+        for env in (1, 2, 3, 4):
+            ks = random_cptp_kraus(rng, env=env)
+            assert np.abs(choi_from_ptm(ptm_from_kraus(ks)) - choi_from_kraus(ks)).max() <= 1e-14
+
+
+class TestRequireCptp:
+    def test_cptp_maps_pass(self, rng):
+        for env in (1, 2, 4):
+            require_cptp(ptm_from_kraus(random_cptp_kraus(rng, env=env)))
+        require_cptp(PauliTransferMap([0, 0, 0.36], np.diag([0.8, 0.8, 0.64])))
+
+    def test_rejects_non_cp(self):
+        with pytest.raises(ValidationError, match="min Choi eigenvalue"):
+            require_cptp(PauliTransferMap([0, 0, 0.5], np.diag([0.9, 0.9, 0.9])))
+
+    def test_checks_even_when_marked_validated(self):
+        with pytest.raises(ValidationError):
+            require_cptp(PauliTransferMap(np.zeros(3), 1.5 * np.eye(3), validated=True))
 
 
 class TestBlochConversions:
