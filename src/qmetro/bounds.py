@@ -28,7 +28,6 @@ Bloch-vector inequality every CPTP qubit map satisfies.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,25 +96,6 @@ class BoundReport:
     alpha_terms: tuple
     cross_terms: tuple
     gamma_norms: tuple
-
-    def to_csv(self) -> str:
-        """Rows ``k, alpha_term, cross_term, gamma_norm, running_total``.
-
-        The cross term of step ``n`` does not exist and is written as 0.
-        """
-        out = io.StringIO()
-        out.write("k,alpha_term,cross_term,gamma_norm,running_total\n")
-        running = 0.0
-        for k in range(self.n):
-            cross = self.cross_terms[k] if k < len(self.cross_terms) else 0.0
-            running += self.alpha_terms[k] + cross
-            fields = (k + 1, self.alpha_terms[k], cross, self.gamma_norms[k], running)
-            out.write(",".join(_fmt(x) for x in fields) + "\n")
-        return out.getvalue()
-
-
-def _fmt(x) -> str:
-    return str(x) if isinstance(x, int) else format(x, ".17g")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ family, and it carries the two structural conditions implemented here:
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +105,8 @@ class KrausPair:
         dk = np.asarray(self.dk, dtype=complex)
         if k.shape != dk.shape:
             raise ValidationError("Kraus operator and derivative must share a shape")
+        if not (np.isfinite(k).all() and np.isfinite(dk).all()):
+            raise ValidationError("Kraus operator or derivative has non-finite entries")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "dk", dk)
 
@@ -172,43 +173,6 @@ class DephasingFamily:
     def g_minus(self) -> np.ndarray:
         """``G- = (1-p) G0 - p G1``."""
         return (1.0 - self.p) * self.g0 - self.p * self.g1
-
-    # -- documented key-value text format (used by the CLI) ------------------
-
-    def to_text(self) -> str:
-        out = io.StringIO()
-        out.write(f"p = {format(float(self.p), '.17g')}\n")
-        out.write(f"pdot = {format(float(self.pdot), '.17g')}\n")
-        for name, g in (("g0", self.g0), ("g1", self.g1)):
-            coeffs = [np.trace(g @ s).real / 2.0 for s in SIGMA]
-            out.write(f"{name} = " + " ".join(format(float(c), ".17g") for c in coeffs) + "\n")
-        return out.getvalue()
-
-    @staticmethod
-    def from_text(text: str) -> "DephasingFamily":
-        fields = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"line {lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            fields[key] = val
-        try:
-            p = float(fields["p"])
-            pdot = float(fields.get("pdot", "0"))
-            triples = {}
-            for name in ("g0", "g1"):
-                c = [float(tok) for tok in fields[name].split()]
-                if len(c) != 3:
-                    raise ValidationError(f"{name} needs exactly 3 Pauli coefficients")
-                triples[name] = c[0] * X + c[1] * Y + c[2] * Z
-        except KeyError as exc:
-            raise ValidationError(f"missing family field {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"malformed family field: {exc}") from exc
-        return DephasingFamily(p, pdot, triples["g0"], triples["g1"])
 
 
 @dataclass(frozen=True)

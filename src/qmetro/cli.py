@@ -2,8 +2,11 @@
 
 Subcommands: ``classify``, ``qfi``, ``bound``, ``sweep``, ``figure2``.
 Configurations are flat key-value text files with dotted section prefixes
-(``family.p = 0.1``); CSV output uses '.' decimals with 17 significant
-digits so downstream plots and regression baselines are bit-stable.
+(``family.p = 0.1``).  Every key is declared once in ``_KEYS`` with its
+reader, default and writer; :func:`parse_config` and :func:`serialize_config`
+both walk that table.  Numbers must be finite.  CSV output uses '.' decimals
+with 17 significant digits so downstream plots and regression baselines are
+bit-stable, and goes to the ``--out`` file when one is set, else to stdout.
 
 Exit codes: 0 ok, 2 malformed configuration, 3 I/O failure, 4 domain error
 raised by the numerical modules.
@@ -13,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .channel_model import (
     hnks_check,
     rgnks_check,
 )
-from .qubit_core import BlochState, PauliTransferMap, X, Y, Z, ptm_from_kraus
+from .qubit_core import BlochState, PauliTransferMap, pauli_compose, pauli_decompose, ptm_from_kraus
 
 __all__ = [
     "ConfigError",
@@ -42,7 +47,6 @@ __all__ = [
     "main",
 ]
 
-THREADS_ENV = "QMETRO_THREADS"
 MAX_N_VALUES = 10**6  # longest 'n = lo..hi' range, and largest n 'bound' runs
 PROTOCOLS = ("sql", "spam", "repeated", "qec", "no_control")
 _EXIT_CONFIG = 2
@@ -56,23 +60,130 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description; every field maps to a dotted config key."""
+    """Parsed experiment description; every field is set by the dotted config keys in ``_KEYS``."""
 
-    family: DephasingFamily | None = None
-    ptm: PauliTransferMap | None = None
-    protocol: str | None = None
-    w: float = 0.01
-    z0: float = 1.0
-    q: float = 0.0
-    interval: int = 6
-    variant: str = "g0x"
-    n_values: tuple = ()
-    seed: int = 0
-    out: str | None = None
+    family: DephasingFamily | None
+    ptm: PauliTransferMap | None
+    protocol: str | None
+    w: float
+    z0: float
+    q: float
+    interval: int
+    variant: str
+    n_values: tuple
+    out: str | None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """A number, or the entries of a sequence separated by spaces, to 17 significant digits."""
+    return format(float(x), ".17g") if np.isscalar(x) else " ".join(map(_fmt, x))
+
+
+# ---------------------------------------------------------------------------
+# The grammar: one declaration per key
+# ---------------------------------------------------------------------------
+
+
+def _numbers(count: int):
+    """Reader of ``count`` finite numbers (a float for one, an array otherwise)."""
+
+    def read(key: str, text: str):
+        try:
+            vals = [float(tok) for tok in text.split()]
+        except ValueError:
+            raise ConfigError(f"field {key!r}: not a number: {text!r}") from None
+        # checked before any arithmetic, so no nan or inf reaches a result
+        if len(vals) != count or not all(map(math.isfinite, vals)):
+            raise ConfigError(f"field {key!r}: expected {count} finite number(s), got {text!r}")
+        return vals[0] if count == 1 else np.array(vals)
+
+    return read
+
+
+def _integer(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"field {key!r}: not an integer: {text!r}") from None
+
+
+def _choice(options: tuple):
+    def read(key: str, text: str) -> str:
+        if text not in options:
+            raise ConfigError(f"{key} must be one of {options}, got {text!r}")
+        return text
+
+    return read
+
+
+def _n_values(key: str, text: str) -> tuple:
+    """``n = 1 10 100`` or the inclusive range ``n = lo..hi``; empty means no rows."""
+    ends = text.split("..", 1) if ".." in text else None
+    try:
+        ints = [int(tok) for tok in (ends or text.split())]
+    except ValueError:
+        raise ConfigError(f"field {key!r}: expected integers or 'lo..hi', got {text!r}") from None
+    if ends is None:
+        return tuple(ints)
+    if ints[1] < ints[0]:
+        raise ConfigError(f"field {key!r}: range {text!r} is reversed")
+    if ints[1] - ints[0] >= MAX_N_VALUES:
+        raise ConfigError(f"field {key!r}: range {text!r} holds more than {MAX_N_VALUES} values")
+    return tuple(range(ints[0], ints[1] + 1))
+
+
+def _generator(c) -> np.ndarray:
+    """``G = c_x X + c_y Y + c_z Z`` from the coefficient triple of a ``family.g*`` key.
+
+    The Pauli coordinates ``Tr(G sigma_j) = 2 c_j`` that the numerical modules
+    read must be finite as well; doubling and halving are then exact.
+    """
+    coords = [0.0] + [2.0 * x for x in np.ravel(c).tolist()]
+    if not all(map(math.isfinite, coords)):
+        raise ConfigError(f"Pauli coefficients {list(c)} exceed half the largest double")
+    return pauli_compose(coords)
+
+
+_REQUIRED = object()  # default of a key that must be present whenever its block is
+
+
+class _Key(NamedTuple):
+    """One config key: the :class:`ExperimentConfig` field it sets, its reader, writer and default."""
+
+    name: str
+    field: str
+    read: Callable[[str, str], object]
+    write: Callable[[object], str] = _fmt
+    default: object = _REQUIRED
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
+_KEYS = (
+    _Key("family.p", "family", _numbers(1)),
+    _Key("family.pdot", "family", _numbers(1), default=0.0),
+    _Key("family.g0", "family", _numbers(3), default=_ZERO3),
+    _Key("family.g1", "family", _numbers(3), default=_ZERO3),
+    _Key("ptm.t", "ptm", _numbers(3), default=_ZERO3),
+    *(_Key(f"ptm.row{i}", "ptm", _numbers(3)) for i in range(3)),
+    _Key("protocol.kind", "protocol", _choice(PROTOCOLS), str, None),
+    _Key("protocol.w", "w", _numbers(1), default=0.01),
+    _Key("protocol.z0", "z0", _numbers(1), default=1.0),
+    _Key("protocol.q", "q", _numbers(1), default=0.0),
+    _Key("protocol.interval", "interval", _integer, str, 6),
+    _Key("protocol.variant", "variant", _choice(protocols.SQL_VARIANTS), str, "g0x"),
+    _Key("n", "n_values", _n_values, lambda ns: " ".join(map(str, ns)), ()),
+    _Key("out", "out", lambda key, text: text, str, None),
+)
+# The keys of a field sit together.  A field spelled by several keys is a block,
+# None unless one of them is present: (join the key values, split the field).
+_BLOCKS = {
+    "family": (
+        lambda p, pdot, c0, c1: DephasingFamily(p, pdot, _generator(c0), _generator(c1)),
+        lambda f: (f.p, f.pdot, *(pauli_decompose(g)[1:] / 2.0 for g in (f.g0, f.g1))),
+    ),
+    "ptm": (lambda t, *rows: PauliTransferMap(t, np.array(rows)), lambda m: (m.t, *m.T)),
+}
+_FIELDS = {name: tuple(keys) for name, keys in groupby(_KEYS, attrgetter("field"))}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -91,119 +202,34 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = val
 
-    def take_float(key, default=None):
-        if key not in fields:
-            if default is None:
-                raise ConfigError(f"missing required field {key!r}")
-            return default
-        raw = fields.pop(key)
+    values = {}
+    for name, keys in _FIELDS.items():
+        if name in _BLOCKS and not any(k.name in fields for k in keys):
+            values[name] = None
+            continue
+        parts = []
+        for k in keys:
+            if k.name not in fields and k.default is _REQUIRED:
+                raise ConfigError(f"missing required field {k.name!r}")
+            parts.append(k.read(k.name, fields.pop(k.name)) if k.name in fields else k.default)
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"field {key!r}: not a number: {raw!r}") from None
-
-    def take_int(key, default):
-        if key not in fields:
-            return default
-        raw = fields.pop(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"field {key!r}: not an integer: {raw!r}") from None
-
-    family = None
-    if "family.p" in fields:
-        try:
-            p = take_float("family.p")
-            pdot = take_float("family.pdot", 0.0)
-            triples = {}
-            for name in ("family.g0", "family.g1"):
-                toks = fields.pop(name, "0 0 0").split()
-                if len(toks) != 3:
-                    raise ConfigError(f"field {name!r}: expected 3 Pauli coefficients")
-                c = [float(t) for t in toks]
-                if not all(math.isfinite(x) for x in c):
-                    raise ConfigError(f"field {name!r}: Pauli coefficients must be finite")
-                triples[name] = c[0] * X + c[1] * Y + c[2] * Z
-            family = DephasingFamily(p, pdot, triples["family.g0"], triples["family.g1"])
-        except ConfigError:
-            raise
+            values[name] = _BLOCKS[name][0](*parts) if name in _BLOCKS else parts[0]
         except ValueError as exc:
-            raise ConfigError(f"family: {exc}") from exc
-
-    ptm = None
-    if "ptm.t" in fields or "ptm.row0" in fields:
-        try:
-            t = [float(x) for x in fields.pop("ptm.t", "0 0 0").split()]
-            rows = [[float(x) for x in fields.pop(f"ptm.row{i}").split()] for i in range(3)]
-            ptm = PauliTransferMap(np.array(t), np.array(rows))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"ptm: malformed block ({exc})") from exc
-
-    protocol = fields.pop("protocol.kind", None)
-    if protocol is not None and protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol.kind must be one of {PROTOCOLS}, got {protocol!r}")
-
-    n_values: tuple = ()
-    if "n" in fields:
-        spec = fields.pop("n").strip()
-        if spec:
-            ends = spec.split("..", 1) if ".." in spec else None
-            try:
-                ints = [int(tok) for tok in (ends or spec.split())]
-            except ValueError:
-                raise ConfigError(f"field 'n': expected integers or 'lo..hi', got {spec!r}") from None
-            if ends is None:
-                n_values = tuple(ints)
-            elif ints[1] - ints[0] >= MAX_N_VALUES:
-                raise ConfigError(f"field 'n': range {spec!r} holds more than {MAX_N_VALUES} values")
-            else:
-                n_values = tuple(range(ints[0], ints[1] + 1))
-
-    cfg = ExperimentConfig(
-        family=family,
-        ptm=ptm,
-        protocol=protocol,
-        w=take_float("protocol.w", 0.01),
-        z0=take_float("protocol.z0", 1.0),
-        q=take_float("protocol.q", 0.0),
-        interval=take_int("protocol.interval", 6),
-        variant=fields.pop("protocol.variant", "g0x"),
-        n_values=n_values,
-        seed=take_int("seed", 0),
-        out=fields.pop("out", None),
-    )
+            raise ConfigError(f"{name}: {exc}") from exc
     if fields:
         raise ConfigError(f"unknown fields: {sorted(fields)}")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; ``parse(serialize(parse(x))) == parse(x)``."""
     lines = []
-    if cfg.family is not None:
-        fam = cfg.family
-        lines.append(f"family.p = {_fmt(fam.p)}")
-        lines.append(f"family.pdot = {_fmt(fam.pdot)}")
-        for name, g in (("family.g0", fam.g0), ("family.g1", fam.g1)):
-            coeffs = [np.trace(g @ s).real / 2.0 for s in (X, Y, Z)]
-            lines.append(f"{name} = " + " ".join(_fmt(c) for c in coeffs))
-    if cfg.ptm is not None:
-        lines.append("ptm.t = " + " ".join(_fmt(c) for c in cfg.ptm.t))
-        for i in range(3):
-            lines.append(f"ptm.row{i} = " + " ".join(_fmt(c) for c in cfg.ptm.T[i]))
-    if cfg.protocol is not None:
-        lines.append(f"protocol.kind = {cfg.protocol}")
-    lines.append(f"protocol.w = {_fmt(cfg.w)}")
-    lines.append(f"protocol.z0 = {_fmt(cfg.z0)}")
-    lines.append(f"protocol.q = {_fmt(cfg.q)}")
-    lines.append(f"protocol.interval = {cfg.interval}")
-    lines.append(f"protocol.variant = {cfg.variant}")
-    if cfg.n_values:
-        lines.append("n = " + " ".join(str(n) for n in cfg.n_values))
-    lines.append(f"seed = {cfg.seed}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
+    for name, keys in _FIELDS.items():
+        value = getattr(cfg, name)
+        if value is None or value == ():  # an absent block or key, or no n values
+            continue
+        parts = _BLOCKS[name][1](value) if name in _BLOCKS else (value,)
+        lines += [f"{k.name} = {k.write(v)}" for k, v in zip(keys, parts)]
     return "\n".join(lines) + "\n"
 
 
@@ -224,8 +250,7 @@ def cmd_classify(cfg: ExperimentConfig, out=None) -> int:
     """Print class tag, singular values and HNKS/RGNKS verdicts."""
     ptm = _family_ptm(cfg)
     result = classify(ptm)
-    svals = " ".join(_fmt(s) for s in result.singular_values)
-    lines = [f"class = {result.tag.value}", f"singular_values = {svals}"]
+    lines = [f"class = {result.tag.value}", f"singular_values = {_fmt(result.singular_values)}"]
     if cfg.family is not None:
         hnks = hnks_check(dephasing_channel(cfg.family))
         lines.append(
@@ -235,10 +260,7 @@ def cmd_classify(cfg: ExperimentConfig, out=None) -> int:
     elif result.tag is channel_model.ChannelKind.STRICTLY_CONTRACTIVE:
         # strictly contractive channels violate HNKS for every parametrization
         lines.append("hnks = violated (strictly contractive)")
-    text = "\n".join(lines) + "\n"
-    (sys.stdout if out is None else out).write(text)
-    if cfg.out:
-        _write_file(cfg.out, text)
+    _emit("\n".join(lines) + "\n", cfg.out, out)
     return 0
 
 
@@ -255,11 +277,25 @@ def cmd_qfi(cfg: ExperimentConfig, out=None) -> int:
         ("channel_qfi_no_ancilla", no_ancilla),
         ("eta_bound", eta),
     ]
-    text = "quantity,value\n" + "\n".join(f"{k},{_fmt(v)}" for k, v in rows) + "\n"
-    (sys.stdout if out is None else out).write(text)
-    if cfg.out:
-        _write_file(cfg.out, text)
+    _emit("quantity,value\n" + "\n".join(f"{k},{_fmt(v)}" for k, v in rows) + "\n", cfg.out, out)
     return 0
+
+
+def _bound_csv(report: bounds.BoundReport) -> str:
+    """Rows ``k, alpha_term, cross_term, gamma_norm, running_total``.
+
+    The cross term of step ``n`` does not exist and is written as 0.
+    """
+    rows = ["k,alpha_term,cross_term,gamma_norm,running_total\n"]
+    running = 0.0
+    for k in range(report.n):
+        cross = report.cross_terms[k] if k < len(report.cross_terms) else 0.0
+        running += report.alpha_terms[k] + cross
+        rows.append(
+            "%d,%.17g,%.17g,%.17g,%.17g\n"
+            % (k + 1, report.alpha_terms[k], cross, report.gamma_norms[k], running)
+        )
+    return "".join(rows)
 
 
 def cmd_bound(cfg: ExperimentConfig, out=None) -> int:
@@ -275,10 +311,7 @@ def cmd_bound(cfg: ExperimentConfig, out=None) -> int:
     extra = ""
     if not rgnks_check(cfg.family):
         extra = f"# rgnks_violated_bound = {_fmt(bounds.rgnks_violated_bound(cfg.family))}\n"
-    text = header + extra + report.to_csv()
-    (sys.stdout if out is None else out).write(text)
-    if cfg.out:
-        _write_file(cfg.out, text)
+    _emit(header + extra + _bound_csv(report), cfg.out, out)
     return 0
 
 
@@ -300,37 +333,18 @@ def _sweep_value(cfg: ExperimentConfig, protocol: str, n: int) -> float:
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
-def cmd_sweep(cfg: ExperimentConfig, out=None, threads: int = 1) -> int:
-    """One CSV row per (protocol, n), computed in order.
-
-    ``threads`` is accepted for compatibility and ignored: each row costs
-    O(log n) in-line.
-    """
+def cmd_sweep(cfg: ExperimentConfig, out=None) -> int:
+    """One CSV row per (protocol, n), computed in order."""
     if cfg.family is None:
         raise ConfigError("sweep needs a family.* block")
     if cfg.protocol is None:
         raise ConfigError("sweep needs protocol.kind")
-    header = "protocol,n,p,w,q,interval,value\n"
-    rows = []
-    for n in cfg.n_values:
-        rows.append(
-            ",".join(
-                [
-                    cfg.protocol,
-                    str(n),
-                    _fmt(cfg.family.p),
-                    _fmt(cfg.w),
-                    _fmt(cfg.q),
-                    str(cfg.interval),
-                    _fmt(_sweep_value(cfg, cfg.protocol, n)),
-                ]
-            )
-        )
-    text = header + "".join(row + "\n" for row in rows)
-    if cfg.out:
-        _write_file(cfg.out, text)
-    else:
-        (sys.stdout if out is None else out).write(text)
+    fixed = ",".join([_fmt(cfg.family.p), _fmt(cfg.w), _fmt(cfg.q), str(cfg.interval)])
+    rows = [
+        f"{cfg.protocol},{n},{fixed},{_fmt(_sweep_value(cfg, cfg.protocol, n))}\n"
+        for n in cfg.n_values
+    ]
+    _emit("protocol,n,p,w,q,interval,value\n" + "".join(rows), cfg.out, out)
     return 0
 
 
@@ -341,14 +355,13 @@ def cmd_figure2(
     n_max: int = 200,
     out_path: str | None = None,
     out=None,
-    threads: int = 1,
 ) -> int:
     """Desk-scale reproduction of the strategy-comparison figure.
 
     Emits one row per n with one column per curve: the analytic QEC
     Heisenberg scaling, the unitary-control protocol at each SPAM rate, the
     repeated-measurement protocol (interval 6), and the control-free
-    constant-QFI baseline.  ``threads`` is accepted and ignored.
+    constant-QFI baseline.
     """
     fam = channel_model.x_rotation_dephasing(p)
     labels = ["qec_analytic"] + [f"sql_q{q:g}" for q in q_list] + ["repeated_measurement", "no_control"]
@@ -374,11 +387,7 @@ def cmd_figure2(
     ]
     for n in range(1, n_max + 1):
         lines.append(str(n) + "," + ",".join(_fmt(v) for v in row_for(n)) + "\n")
-    text = "".join(lines)
-    if out_path:
-        _write_file(out_path, text)
-    else:
-        (sys.stdout if out is None else out).write(text)
+    _emit("".join(lines), out_path, out)
     return 0
 
 
@@ -387,16 +396,20 @@ def cmd_figure2(
 # ---------------------------------------------------------------------------
 
 
-def _write_file(path: str, text: str):
+class _IoFailure(Exception):
+    pass
+
+
+def _emit(text: str, path: str | None, out=None):
+    """Write ``text`` to the file ``path`` when one is set, else to ``out`` (stdout by default)."""
+    if not path:
+        (sys.stdout if out is None else out).write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise _IoFailure(str(exc)) from exc
-
-
-class _IoFailure(Exception):
-    pass
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -410,21 +423,19 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return parse_config(text)
 
 
+_COMMANDS = {"classify": cmd_classify, "qfi": cmd_qfi, "bound": cmd_bound, "sweep": cmd_sweep}
+
+
 def _add_shared_flags(parser: argparse.ArgumentParser, subcommand: bool = False):
     # subparsers get SUPPRESS defaults so they never clobber values the main
     # parser already read from flags placed before the subcommand
     default = argparse.SUPPRESS if subcommand else None
     parser.add_argument("--config", default=default, help="path to a key-value config file")
-    parser.add_argument("--out", default=default, help="output path (overrides the config's 'out')")
     parser.add_argument(
-        "--seed", type=int, default=default, help="seed (overrides the config's 'seed')"
+        "--out", default=default, help="output file (overrides the config's 'out'); else stdout"
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=default,
-        help="accepted for compatibility and ignored: rows are computed in-line "
-        f"(default: ${THREADS_ENV} or 1)",
+        "--threads", type=int, default=default, help="ignored: rows are computed in-line, in order"
     )
 
 
@@ -436,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
     # the shared flags are accepted both before and after the subcommand
-    for name in ("classify", "qfi", "bound", "sweep"):
+    for name in _COMMANDS:
         _add_shared_flags(sub.add_parser(name), subcommand=True)
     fig = sub.add_parser("figure2")
     _add_shared_flags(fig, subcommand=True)
@@ -447,49 +458,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(args.threads, 1)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return 1
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = _thread_count(args)
     try:
-        if args.command == "figure2":
-            q_list = tuple(args.q) if args.q else (0.0, 0.001, 0.02)
-            return cmd_figure2(
-                p=args.p, w=args.w, q_list=q_list, n_max=args.n_max,
-                out_path=args.out, threads=threads,
-            )
-        cfg = _load_config(args.config)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "qfi":
-            return cmd_qfi(cfg)
-        if args.command == "bound":
-            return cmd_bound(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, threads=threads)
-        raise AssertionError(args.command)
+        # an overflow or invalid operation would carry inf or nan into a row: fail instead
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if args.command == "figure2":
+                q_list = tuple(args.q) if args.q else (0.0, 0.001, 0.02)
+                return cmd_figure2(p=args.p, w=args.w, q_list=q_list, n_max=args.n_max, out_path=args.out)
+            cfg = _load_config(args.config)
+            if args.out is not None:
+                cfg = replace(cfg, out=args.out)
+            return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error:config:{exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except _IoFailure as exc:
         print(f"error:io:{exc}", file=sys.stderr)
         return _EXIT_IO
-    except (ValueError, fisher_info.ConvergenceError) as exc:
+    except (ValueError, FloatingPointError, fisher_info.ConvergenceError) as exc:
         print(f"error:domain:{exc}", file=sys.stderr)
         return _EXIT_DOMAIN
 

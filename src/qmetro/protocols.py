@@ -120,12 +120,6 @@ class ProtocolResult:
         if self.qfi_or_fi < -1e-12:
             raise ValidationError("qfi_or_fi must be nonnegative")
 
-    def csv_row(self, protocol: str) -> str:
-        parts = [protocol, str(self.n)]
-        parts += [f"{key}={self.meta[key]!r}" for key in sorted(self.meta)]
-        parts.append(format(self.qfi_or_fi, ".17g"))
-        return ",".join(parts)
-
 
 @dataclass(frozen=True)
 class BlochKernel:

@@ -110,8 +110,11 @@ class BlochState:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float).reshape(3)
         dv = np.asarray(self.dv, dtype=float).reshape(3)
-        if np.linalg.norm(v) > 1.0 + 1e-10:
-            raise ValidationError(f"Bloch vector has norm {np.linalg.norm(v):.12g} > 1")
+        norm = math.hypot(*v.tolist())  # nan or inf when an entry is; nan > 1 is False
+        if not (math.isfinite(norm) and all(map(math.isfinite, dv.tolist()))):
+            raise ValidationError("Bloch vector or derivative has non-finite entries")
+        if norm > 1.0 + 1e-10:
+            raise ValidationError(f"Bloch vector has norm {norm:.12g} > 1")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "dv", dv)
 
@@ -159,6 +162,8 @@ class PauliTransferMap:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float).reshape(3)
         T = np.asarray(self.T, dtype=float).reshape(3, 3)
+        if not all(map(math.isfinite, [*t.tolist(), *T.ravel().tolist()])):
+            raise ValidationError("Pauli transfer map has non-finite entries")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "T", T)
 

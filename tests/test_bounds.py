@@ -200,14 +200,6 @@ class TestExtensionBound:
             v0 = BlochState(direction * rng.uniform() ** (1 / 3), np.zeros(3))
             assert simulate_sequence(ch, seq, v0, n).qfi_or_fi <= total + 1e-9
 
-    def test_csv_shape(self):
-        fam = x_rotation_dephasing(0.1)
-        text = extension_bound(fam, identity_steps(fam, 3)).to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "k,alpha_term,cross_term,gamma_norm,running_total"
-        assert len(lines) == 4
-        assert float(lines[-1].split(",")[-1]) > 0
-
 
 class TestPauliCoordinateOracle:
     def test_random_unital_sequences(self, rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qmetro.channel_model import (
     AmbiguousClassificationError,
     ChannelKind,
     DephasingFamily,
+    KrausPair,
     NotApplicableError,
     canonical_pauli_form,
     classify,
@@ -20,6 +23,7 @@ from qmetro.channel_model import (
     span_residual,
     x_rotation_dephasing,
 )
+from qmetro.cli import parse_config, serialize_config
 from qmetro.qubit_core import (
     I2,
     X,
@@ -28,6 +32,7 @@ from qmetro.qubit_core import (
     DomainError,
     KrausSet,
     PauliTransferMap,
+    ValidationError,
     choi_from_kraus,
     ptm_from_kraus,
     random_cptp_kraus,
@@ -96,11 +101,21 @@ class TestDephasingChannel:
     def test_text_round_trip(self, rng):
         for _ in range(20):
             fam = random_dephasing_family(rng)
-            back = DephasingFamily.from_text(fam.to_text())
+            cfg = replace(parse_config(""), family=fam)
+            back = parse_config(serialize_config(cfg)).family
             assert np.isclose(back.p, fam.p)
             assert np.isclose(back.pdot, fam.pdot)
             assert np.allclose(back.g0, fam.g0)
             assert np.allclose(back.g1, fam.g1)
+
+
+class TestKrausPair:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            KrausPair(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="non-finite"):
+            KrausPair(I2, np.array([[0.0, 0.0], [bad, 0.0]]))
 
 
 class TestKrausSpan:

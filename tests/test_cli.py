@@ -1,13 +1,19 @@
+import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro.cli import (
+    PROTOCOLS,
     ConfigError,
     cmd_classify,
     cmd_figure2,
@@ -16,6 +22,7 @@ from qmetro.cli import (
     parse_config,
     serialize_config,
 )
+from qmetro.protocols import SQL_VARIANTS
 
 EQ2 = """
 family.p = 0.1
@@ -26,7 +33,7 @@ family.g1 = -1 0 0
 
 CONFIG_CORPUS = [
     EQ2,
-    EQ2 + "protocol.kind = sql\nprotocol.w = 0.02\nn = 1..5\nseed = 3\n",
+    EQ2 + "protocol.kind = sql\nprotocol.w = 0.02\nn = 1..5\n",
     EQ2 + "protocol.kind = repeated\nprotocol.interval = 4\nn = 2 4 8\nout = r.csv\n",
     "ptm.t = 0 0 0\nptm.row0 = 0.5 0 0\nptm.row1 = 0 0.5 0\nptm.row2 = 0 0 0.5\n",
     EQ2 + "protocol.kind = spam\nprotocol.q = 0.02\nprotocol.z0 = 1\nn = 10\n",
@@ -114,9 +121,9 @@ class TestSweepCommand:
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             cfg = parse_config(
-                EQ2 + f"protocol.kind = spam\nprotocol.q = 0.02\nn = 1..20\nseed = 9\nout = {path}\n"
+                EQ2 + f"protocol.kind = spam\nprotocol.q = 0.02\nn = 1..20\nout = {path}\n"
             )
-            cmd_sweep(cfg, threads=2)
+            cmd_sweep(cfg)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -229,11 +236,16 @@ class TestExitCodes:
         value = float(out.read_text().splitlines()[1].split(",")[-1])
         assert np.isclose(value, 4 * (1 - 2 * 0.13) ** 2 * 5000**2, rtol=1e-12)
 
-    def test_seed_flag_overrides(self, tmp_path):
+    def test_seed_is_retired(self, tmp_path, capsys):
         cfg_path = tmp_path / "s.conf"
         cfg_path.write_text(EQ2 + "seed = 1\n")
-        # smoke: flag accepted and command still succeeds
-        assert main(["--config", str(cfg_path), "--seed", "42", "classify"]) == 0
+        assert main(["--config", str(cfg_path), "classify"]) == 2
+        assert capsys.readouterr().err.startswith("error:config:unknown fields: ['seed']")
+        cfg_path.write_text(EQ2)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "classify", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 class TestFlagPlacement:
@@ -247,19 +259,6 @@ class TestFlagPlacement:
 
 
 class TestThreadDefaults:
-    def test_env_var_honored_and_flag_wins(self, monkeypatch):
-        from qmetro.cli import THREADS_ENV, _thread_count, build_parser
-
-        parser = build_parser()
-        monkeypatch.setenv(THREADS_ENV, "4")
-        args = parser.parse_args(["classify"])
-        assert _thread_count(args) == 4
-        args = parser.parse_args(["--threads", "2", "classify"])
-        assert _thread_count(args) == 2
-        monkeypatch.delenv(THREADS_ENV)
-        args = parser.parse_args(["classify"])
-        assert _thread_count(args) == 1
-
     def test_thread_flag_changes_no_byte(self, tmp_path):
         outs = []
         for threads in ("1", "2"):
@@ -292,6 +291,16 @@ class TestOtherCommands:
         text = out.read_text()
         assert text.startswith("# extension bound, n = 20")
         assert "k,alpha_term,cross_term,gamma_norm,running_total" in text
+
+    def test_csv_shape(self):
+        from qmetro.cli import cmd_bound
+
+        buf = io.StringIO()
+        assert cmd_bound(parse_config(EQ2 + "n = 3\n"), out=buf) == 0
+        lines = [l for l in buf.getvalue().strip().splitlines() if not l.startswith("#")]
+        assert lines[0] == "k,alpha_term,cross_term,gamma_norm,running_total"
+        assert len(lines) == 4
+        assert float(lines[-1].split(",")[-1]) > 0
 
     def test_bound_reports_ceiling_when_rgnks_fails(self):
         from qmetro.cli import cmd_bound
@@ -341,3 +350,140 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "usage: qmetro" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+
+FAMILY_SWEEP = EQ2 + "protocol.kind = spam\nn = 1..3\n"
+PTM_ROWS = "ptm.row1 = 0 0.5 0\nptm.row2 = 0 0 0.5\n"
+
+
+class TestGrammar:
+    @pytest.mark.parametrize(
+        "text, command",
+        [
+            (FAMILY_SWEEP + "protocol.w = nan\n", "sweep"),
+            (FAMILY_SWEEP + "protocol.w = inf\n", "sweep"),
+            (FAMILY_SWEEP + "protocol.z0 = nan\n", "sweep"),
+            (FAMILY_SWEEP + "protocol.q = nan\n", "sweep"),
+            ("ptm.row0 = nan 0 0\n" + PTM_ROWS, "classify"),
+            ("ptm.t = inf 0 0\nptm.row0 = 0.5 0 0\n" + PTM_ROWS, "classify"),
+            (FAMILY_SWEEP + "protocol.variant = bogus\n", "sweep"),
+            (FAMILY_SWEEP.replace("1..3", "5..2"), "sweep"),
+            (FAMILY_SWEEP.replace("g0 = 1 0 0", "g0 = 0 0 1e308"), "sweep"),
+        ],
+        ids=["w_nan", "w_inf", "z0_nan", "q_nan", "row0_nan", "t_inf", "variant", "reversed_n", "g0_huge"],
+    )
+    def test_bad_value_is_2(self, tmp_path, capsys, text, command):
+        cfg_path = tmp_path / "bad.conf"
+        out = tmp_path / "rows.csv"
+        cfg_path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(cfg_path), "--out", str(out), command]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.startswith("error:config:")
+        assert not out.exists()
+
+    def test_overflow_is_4(self, tmp_path, capsys):
+        # finite inputs whose QFI overflows: a domain error, never an 'inf' row
+        cfg_path = tmp_path / "big.conf"
+        out = tmp_path / "rows.csv"
+        cfg_path.write_text(
+            "family.p = 0.5\nfamily.g1 = 0 1.3407807929942597e154 0\n"
+            "protocol.kind = repeated\nprotocol.interval = 1\nn = 1\n"
+        )
+        assert main(["--config", str(cfg_path), "--out", str(out), "sweep"]) == 4
+        assert capsys.readouterr().err.startswith("error:domain:overflow")
+        assert not out.exists()
+
+    def test_reversed_range(self):
+        with pytest.raises(ConfigError, match="reversed"):
+            parse_config(EQ2 + "n = 5..2\n")
+        assert parse_config(EQ2 + "n = 2..2\n").n_values == (2,)
+
+    @pytest.mark.parametrize("command", ["classify", "qfi", "bound", "sweep"])
+    def test_out_file_only(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "c.conf"
+        out = tmp_path / "out.csv"
+        cfg_path.write_text(EQ2 + "protocol.kind = sql\nn = 1..3\n")
+        assert main(["--config", str(cfg_path), "--out", str(out), command]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text()
+
+    def test_readme_example(self, tmp_path, capsys):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("cat > example.conf <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+        cfg_path = tmp_path / "example.conf"
+        cfg_path.write_text(block + "\n")
+        for command in ("classify", "qfi", "bound", "sweep"):
+            assert main(["--config", str(cfg_path), command]) == 0, command
+        assert capsys.readouterr().out
+
+
+def _config_key(cfg):
+    """The parsed values of ``cfg`` as plain comparable tuples (arrays flattened)."""
+    fam = cfg.family and (cfg.family.p, cfg.family.pdot, *cfg.family.g0.ravel(), *cfg.family.g1.ravel())
+    ptm = cfg.ptm and (*cfg.ptm.t, *cfg.ptm.T.ravel())
+    return (fam, ptm, cfg.protocol, cfg.w, cfg.z0, cfg.q, cfg.interval, cfg.variant, cfg.n_values, cfg.out)
+
+
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _numeric(typical, anything=_ANY_FLOAT):
+    """Mostly ``typical``; one draw in five from every float, nan and +-inf included."""
+    return st.integers(0, 4).flatmap(lambda i: anything if i == 0 else typical)
+
+
+_TRIPLE = _numeric(st.tuples(*[st.floats(-2, 2)] * 3), st.tuples(*[_ANY_FLOAT] * 3))
+
+
+class TestGrammarProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=_numeric(st.floats(0.01, 0.5)),
+        pdot=_numeric(st.floats(-2, 2)),
+        g0=_TRIPLE,
+        g1=_TRIPLE,
+        kind=st.sampled_from(PROTOCOLS),
+        w=_numeric(st.floats(0.0, 0.1)),
+        z0=_numeric(st.floats(-1, 1)),
+        q=_numeric(st.floats(0.0, 0.1)),
+        interval=st.integers(1, 8),
+        variant=st.sampled_from(SQL_VARIANTS),
+        ns=st.lists(st.integers(1, 40), max_size=4),
+    )
+    def test_round_trip_and_no_silent_non_finite(
+        self, p, pdot, g0, g1, kind, w, z0, q, interval, variant, ns
+    ):
+        triple = lambda c: " ".join(map(repr, c))
+        text = (
+            f"family.p = {p!r}\nfamily.pdot = {pdot!r}\n"
+            f"family.g0 = {triple(g0)}\nfamily.g1 = {triple(g1)}\n"
+            f"protocol.kind = {kind}\nprotocol.w = {w!r}\nprotocol.z0 = {z0!r}\n"
+            f"protocol.q = {q!r}\nprotocol.interval = {interval}\nprotocol.variant = {variant}\n"
+            f"n = {' '.join(map(str, ns))}\n"
+        )
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            cfg = None
+        if cfg is not None:
+            assert _config_key(parse_config(serialize_config(cfg))) == _config_key(cfg)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "c.conf")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+                code = main(["--config", cfg_path, "sweep"])
+        if cfg is None:
+            assert code == 2
+        if code != 0:
+            assert code in (2, 4) and err.getvalue().startswith("error:")
+            return
+        rows = out.getvalue().splitlines()[1:]
+        assert len(rows) == len(ns)
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[2:])

@@ -274,6 +274,23 @@ class TestRequireHermitian:
             require_hermitian(op)
 
 
+class TestFiniteEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bloch_state(self, bad):
+        # nan > 1 is False, so a nan entry must not pass the norm check
+        with pytest.raises(ValidationError, match="non-finite"):
+            BlochState(np.array([bad, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(ValidationError, match="non-finite"):
+            BlochState(np.zeros(3), np.array([0.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pauli_transfer_map(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            PauliTransferMap(np.array([0.0, 0.0, bad]), np.eye(3))
+        with pytest.raises(ValidationError, match="non-finite"):
+            PauliTransferMap(np.zeros(3), np.diag([1.0, bad, 1.0]))
+
+
 class TestValidateCptp:
     def test_dephasing_passes(self):
         report = validate_cptp(choi_from_kraus(dephasing_set(0.1)))
