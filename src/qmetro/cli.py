@@ -222,14 +222,21 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; ``parse(serialize(parse(x))) == parse(x)``."""
+    """Canonical text form; ``parse(serialize(parse(x))) == parse(x)``.
+
+    A number the reader would reject (nan, inf) raises :class:`ConfigError`.
+    """
     lines = []
     for name, keys in _FIELDS.items():
         value = getattr(cfg, name)
         if value is None or value == ():  # an absent block or key, or no n values
             continue
-        parts = _BLOCKS[name][1](value) if name in _BLOCKS else (value,)
-        lines += [f"{k.name} = {k.write(v)}" for k, v in zip(keys, parts)]
+        with np.errstate(over="ignore", invalid="ignore"):  # e.g. Tr(G X) above 1.8e308
+            parts = _BLOCKS[name][1](value) if name in _BLOCKS else (value,)
+        for k, v in zip(keys, parts):
+            if k.write is _fmt and not all(map(math.isfinite, np.ravel(v).tolist())):
+                raise ConfigError(f"field {k.name!r}: {_fmt(v)} is not finite")
+            lines.append(f"{k.name} = {k.write(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -451,9 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_shared_flags(sub.add_parser(name), subcommand=True)
     fig = sub.add_parser("figure2")
     _add_shared_flags(fig, subcommand=True)
-    fig.add_argument("--p", type=float, default=0.1)
-    fig.add_argument("--w", type=float, default=0.01)
-    fig.add_argument("--q", type=float, action="append", default=None)
+    # read by the config number reader in main, so nan and inf exit 2 as in a config
+    fig.add_argument("--p", default="0.1")
+    fig.add_argument("--w", default="0.01")
+    fig.add_argument("--q", action="append", default=None)
     fig.add_argument("--n-max", type=int, default=200)
     return parser
 
@@ -464,8 +472,10 @@ def main(argv=None) -> int:
         # an overflow or invalid operation would carry inf or nan into a row: fail instead
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             if args.command == "figure2":
-                q_list = tuple(args.q) if args.q else (0.0, 0.001, 0.02)
-                return cmd_figure2(p=args.p, w=args.w, q_list=q_list, n_max=args.n_max, out_path=args.out)
+                number = _numbers(1)
+                q_list = tuple(number("--q", q) for q in args.q) if args.q else (0.0, 0.001, 0.02)
+                p, w = number("--p", args.p), number("--w", args.w)
+                return cmd_figure2(p=p, w=w, q_list=q_list, n_max=args.n_max, out_path=args.out)
             cfg = _load_config(args.config)
             if args.out is not None:
                 cfg = replace(cfg, out=args.out)

@@ -17,9 +17,10 @@ linear least-squares problem in ``h`` (``_inner_min``).
   ``value = 4 lambda_max(alpha(h_opt))`` is an upper bound on the QFI,
   ``4 Tr(rho* alpha(h_opt))`` a lower bound, and their difference ``gap``
   must stay within ``GAP_RTOL * value``;
-* ancilla-free, ``4 sup_psi min_h <psi|alpha(h)|psi>``: the same oracle at
-  pure inputs, with the outer supremum taken over a sphere grid with local
-  refinement.
+* ancilla-free, ``4 sup_psi min_h <psi|alpha(h)|psi>``.  At a pure qubit
+  input ``v`` the inner minimum is the output state's Bloch QFI, so the
+  supremum is a closed-form maximum over the unit sphere (a Fibonacci grid,
+  Riemannian Newton steps, and the pure-output inputs evaluated directly).
 """
 
 from __future__ import annotations
@@ -28,14 +29,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel_model import OneParamChannel
 from .qubit_core import (
     DensityState,
     DomainError,
     PauliTransferMap,
+    SIGMA,
     ValidationError,
+    pauli_sandwich,
+    ptm_derivative_from_kraus,
     require_hermitian,
 )
 
@@ -58,6 +61,8 @@ __all__ = [
 ]
 
 EIG_PAIR_CUTOFF = 1e-12
+
+PURE_TOL = 1e-14  # largest 1 - ||v||^2 at which a Bloch vector counts as pure
 
 
 class ConvergenceError(RuntimeError):
@@ -146,12 +151,23 @@ def qfi_state(s: DensityState) -> float:
     return f
 
 
+def _bloch_qfi(a, b, c):
+    """Elementwise ``(a + b^2/c, b/c, 1/c)``: the Bloch QFI from ``a = ||dv||^2``,
+    ``b = v.dv`` and ``c = 1 - ||v||^2``.  A pure state (``c <= PURE_TOL``) gets
+    ``(a, 0, 0)``; no division ever sees its ``c``.
+    """
+    mixed = c > PURE_TOL
+    safe = c * mixed + PURE_TOL * (c <= PURE_TOL)  # plain arithmetic keeps floats floats
+    inv_c = mixed / safe
+    return a + mixed * (b * b) / safe, b * inv_c, inv_c
+
+
 def qfi_bloch(b) -> float:
     """Closed-form qubit QFI ``||dv||^2 + (v.dv)^2 / (1 - ||v||^2)``.
 
     Accepts a :class:`~qmetro.qubit_core.BlochState` or a ``(v, dv)`` pair.
-    On the Bloch sphere (``||v|| = 1``) the derivative must be tangent
-    (``|v.dv| <= 1e-9``) and the formula reduces to ``||dv||^2``.
+    On the Bloch sphere (``1 - ||v||^2 <= PURE_TOL``) the derivative must be
+    tangent (``|v.dv| <= 1e-9``) and the formula reduces to ``||dv||^2``.
     """
     v = np.asarray(b.v if hasattr(b, "v") else b[0], dtype=float)
     dv = np.asarray(b.dv if hasattr(b, "dv") else b[1], dtype=float)
@@ -160,13 +176,11 @@ def qfi_bloch(b) -> float:
         raise DomainError("Bloch vector outside the unit ball")
     radial = float(v @ dv)
     gap = 1.0 - nv2
-    if gap <= 1e-14:
-        if abs(radial) > 1e-9:
-            raise DomainError(
-                f"pure state with radial derivative {radial:.3e}: family leaves the Bloch ball"
-            )
-        return float(dv @ dv)
-    return float(dv @ dv) + radial * radial / gap
+    if gap <= PURE_TOL and abs(radial) > 1e-9:
+        raise DomainError(
+            f"pure state with radial derivative {radial:.3e}: family leaves the Bloch ball"
+        )
+    return float(_bloch_qfi(float(dv @ dv), radial, gap)[0])
 
 
 def sld(s: DensityState) -> np.ndarray:
@@ -249,6 +263,10 @@ POLISH_STEPS = 2
 
 SPHERE_GRID = 400
 """Fibonacci grid size for the ancilla-free outer supremum."""
+
+NEWTON_STARTS = 3  # best grid points refined by Newton steps
+NEWTON_STEPS = 30  # most Newton steps from one start
+NEAR_PURE = 1e-9  # Newton runs stop short of outputs with 0 < 1 - |w|^2 < NEAR_PURE
 
 
 def _herm_basis(r: int) -> np.ndarray:
@@ -334,6 +352,8 @@ def channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
         grad = 2.0 * (1.0 - INPUT_FLOOR) * (alpha_s - np.vdot(s, alpha_s).real / norm2 * s) / norm2
         return -f / scale, -np.concatenate([grad.real.ravel(), grad.imag.ravel()]) / scale
 
+    from scipy.optimize import minimize  # scipy's only user; kept off the import path
+
     x0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
     x = minimize(neg_value, x0, jac=True, method="BFGS", options={"gtol": 1e-12, "maxiter": 1000}).x
     for _ in range(POLISH_STEPS + 1):
@@ -359,43 +379,92 @@ def channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
     )
 
 
-def _sphere_grid(n: int) -> np.ndarray:
-    """Fibonacci grid of pure-state angles (theta, phi)."""
-    idx = np.arange(n) + 0.5
-    theta = np.arccos(1.0 - 2.0 * idx / n)
-    phi = np.pi * (1.0 + np.sqrt(5.0)) * idx
-    return np.column_stack([theta, phi % (2.0 * np.pi)])
+_IDX = np.arange(SPHERE_GRID) + 0.5
+_Z, _PHI = 1.0 - 2.0 * _IDX / SPHERE_GRID, np.pi * (1.0 + np.sqrt(5.0)) * _IDX
+_SPHERE = np.vstack([np.sqrt(1.0 - _Z**2) * [np.cos(_PHI), np.sin(_PHI)], _Z]).T
+_SYMPLECTIC = np.array([[0.0, 1.0], [-1.0, 0.0]])  # a^T J b = det[a, b]
+
+
+def _output_qfi(v, t, T, dt, dT):
+    """``(F, q, 1/c)`` of the output pair ``w = T v + t``, ``w' = dT v + dt``, per row of ``v``."""
+    w, dw = v @ T.T + t, v @ dT.T + dt
+    return _bloch_qfi(np.sum(dw * dw, -1), np.sum(w * dw, -1), 1.0 - np.sum(w * w, -1))
+
+
+def _pure_output_inputs(k_ops: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors of candidate inputs: all those whose output is pure, and a few others.
+
+    The output of ``psi`` is pure iff every minor ``det[K_i psi, K_j psi] = psi^T S_ij psi``
+    vanishes, so such a ``psi`` is a root of each nonzero binary quadratic.  A near-double root
+    is snapped to the double root, which the quadratic formula gives to half the digits.
+    """
+    i, j = np.triu_indices(len(k_ops), 1)
+    s = np.swapaxes(k_ops[i], 1, 2) @ _SYMPLECTIC @ k_ops[j]
+    s00, s01, s11 = s[:, 0, 0], (s[:, 0, 1] + s[:, 1, 0]) / 2.0, s[:, 1, 1]
+    disc = s01 * s01 - s00 * s11
+    r = np.sqrt(np.where(abs(disc) > 1e-12 * np.sum(abs(s) ** 2, (1, 2)), disc, 0.0))
+    roots = [(sgn * r - s01, s00) for sgn in (1, -1)] + [(s11, sgn * r - s01) for sgn in (1, -1)]
+    psi = np.concatenate([np.stack(root, -1) for root in roots])
+    psi = psi[np.linalg.norm(psi, axis=1) > 0.0]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return np.einsum("ni,jik,nk->nj", psi.conj(), SIGMA, psi).real
+
+
+def _newton_ascent(v, t, T, dt, dT) -> float:
+    """Riemannian Newton ascent of the output QFI from the unit vector ``v``; the best value.
+
+    With ``q = b/c`` and ``u = b' - q c'``, the Euclidean gradient of ``a + q b`` is
+    ``a' + 2q b' - q^2 c'`` and its Hessian ``a'' + 2q b'' - q^2 c'' + (2/c) u u^T``.  Steps
+    use the absolute eigenvalues of the tangent Hessian, so each one ascends, and are halved
+    until the value grows.  A run stops short of ``0 < c < NEAR_PURE``, where ``b^2/c`` loses
+    digits; the pure-output input it heads for is a candidate of its own.
+    """
+    best, q, inv_c = _output_qfi(v, t, T, dt, dT)
+    for _ in range(NEWTON_STEPS):
+        w, dw = T @ v + t, dT @ v + dt
+        grad_b, grad_c = T.T @ dw + dT.T @ w, -2.0 * T.T @ w
+        u, grad = grad_b - q * grad_c, 2.0 * dT.T @ dw + 2.0 * q * grad_b - q * q * grad_c
+        hess = dT.T @ dT + q * (T.T @ dT + dT.T @ T) + q * q * T.T @ T + inv_c * np.outer(u, u)
+        tangent = np.linalg.svd(v[None, :])[2][1:].T
+        lam, vecs = np.linalg.eigh(tangent.T @ (2.0 * hess - (v @ grad) * np.eye(3)) @ tangent)
+        lam = np.maximum(abs(lam), 1e-12 * abs(lam).max() + 1e-300)
+        step = tangent @ vecs @ (vecs.T @ tangent.T @ grad / lam)
+        if np.linalg.norm(step) < 1e-10:
+            break
+        step *= min(1.0, 0.5 / np.linalg.norm(step))  # at most half a radian
+        for _ in range(10):
+            trial = (v + step) / np.linalg.norm(v + step)
+            value, q_trial, inv_c_trial = _output_qfi(trial, t, T, dt, dT)
+            if value > best or inv_c_trial > 1.0 / NEAR_PURE:
+                break
+            step /= 2.0
+        if not value > best or inv_c_trial > 1.0 / NEAR_PURE:
+            break
+        v, best, q, inv_c = trial, value, q_trial, inv_c_trial
+    return float(best)
 
 
 def channel_qfi_no_ancilla(ch: OneParamChannel) -> float:
     """Ancilla-free channel QFI ``4 sup_psi min_h <psi|alpha(h)|psi>`` for a qubit channel.
 
-    The inner minimum is the least-squares oracle of :func:`channel_qfi_ancilla`
-    at a pure input; the outer supremum uses a Fibonacci sphere grid followed
-    by Nelder-Mead refinement from the best grid points.
+    At a pure input ``v`` the inner minimum is the output state's QFI ``qfi_bloch(w, w')``,
+    ``w = T v + t``, ``w' = dT v + dt`` (Escher, de Matos Filho & Davidovich, Nat. Phys. 7,
+    406, 2011).  Its maximum over the unit sphere is the best of: the ``SPHERE_GRID``-point
+    Fibonacci grid, Newton runs from its best ``NEWTON_STARTS`` points, and the candidates
+    where the value ``|w'|^2`` of a pure output need not be the limit of nearby values: the
+    pure-output inputs, and the top eigenvectors of ``dT^T dT`` (when every output is pure).
     """
     if ch.dim != 2:
         raise ValidationError("channel_qfi_no_ancilla expects a qubit channel")
     k_ops, dk_ops = _kraus_arrays(ch)
-
-    def neg_obj(angles):
-        th, ph = angles
-        psi = np.array([[np.cos(th / 2.0)], [np.exp(1j * ph) * np.sin(th / 2.0)]])
-        return -_inner_min(k_ops, dk_ops, psi)[0]
-
-    pts = _sphere_grid(SPHERE_GRID)
-    vals = np.array([-neg_obj(p) for p in pts])
-    order = np.argsort(vals)[::-1]
-    best = vals[order[0]]
-    for start in order[:3]:
-        res = minimize(
-            neg_obj,
-            pts[start],
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
-        )
-        best = max(best, -res.fun)
-    return 4.0 * float(best)
+    m = pauli_sandwich(k_ops, k_ops).real / 2.0
+    t, T = m[1:, 0], m[1:, 1:]
+    dt, dT = ptm_derivative_from_kraus(zip(k_ops, dk_ops))
+    top = np.linalg.eigh(dT.T @ dT)[1][:, -1]
+    candidates = np.vstack([_pure_output_inputs(k_ops), top, -top])
+    grid = _output_qfi(_SPHERE, t, T, dt, dT)[0]
+    runs = [_newton_ascent(_SPHERE[i], t, T, dt, dT) for i in np.argsort(grid)[-NEWTON_STARTS:]]
+    return float(max(grid.max(), _output_qfi(candidates, t, T, dt, dT)[0].max(), *runs))
 
 
 # ---------------------------------------------------------------------------

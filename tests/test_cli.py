@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from qmetro.cli import (
     parse_config,
     serialize_config,
 )
+from qmetro.channel_model import DephasingFamily
 from qmetro.protocols import SQL_VARIANTS
+from qmetro.qubit_core import X
 
 EQ2 = """
 family.p = 0.1
@@ -281,6 +284,15 @@ class TestOtherCommands:
         assert values["channel_qfi_no_ancilla"] <= values["channel_qfi_ancilla"] + 1e-7
         assert np.isclose(values["eta_bound"], 1.0)
 
+    def test_qfi_through_main_on_readme_family(self, tmp_path, capsys):
+        # the ancilla-free optimum of this family sits at the pure-output
+        # pole v = +-z; cli.main raises on any division by 1 - |w|^2 = 0
+        cfg_path = tmp_path / "readme.conf"
+        cfg_path.write_text(EQ2)
+        assert main(["--config", str(cfg_path), "qfi"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:])
+        assert abs(float(rows["channel_qfi_no_ancilla"]) - 4.0) <= 4e-12
+
     def test_bound_command(self, tmp_path):
         from qmetro.cli import cmd_bound
 
@@ -334,22 +346,60 @@ class TestStdoutAtCallTime:
             assert buf.getvalue(), argv
 
 
+def _run_python(*args):
+    import qmetro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmetro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_m_qmetro_help(self):
-        import qmetro
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(qmetro.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qmetro", "--help"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
+        proc = _run_python("-m", "qmetro", "--help")
         assert proc.returncode == 0
         assert "usage: qmetro" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+
+# prints whether scipy is loaded after `import qmetro` and, given a config,
+# after cli.main ran each of the commands named on the command line
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import qmetro
+from qmetro.cli import main
+print("import", "scipy" in sys.modules)
+for command in sys.argv[2:]:
+    argv = command.split()
+    if argv[0] != "figure2":
+        argv = ["--config", sys.argv[1]] + argv
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(command, code, "scipy" in sys.modules)
+"""
+
+
+class TestImportPath:
+    def test_scipy_loaded_only_by_the_ancilla_solver(self, tmp_path):
+        cfg_path = tmp_path / "c.conf"
+        cfg_path.write_text(EQ2 + "protocol.kind = sql\nn = 1..3\n")
+        commands = ["classify", "sweep", "bound", "figure2 --n-max 5", "qfi"]
+        proc = _run_python("-c", _SCIPY_PROBE, str(cfg_path), *commands)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:6] == [
+            "import False",
+            "classify 0 False",
+            "sweep 0 False",
+            "bound 0 False",
+            "figure2 --n-max 5 0 False",
+            "qfi 0 True",
+        ]
 
 
 FAMILY_SWEEP = EQ2 + "protocol.kind = spam\nn = 1..3\n"
@@ -382,6 +432,24 @@ class TestGrammar:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err.startswith("error:config:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--p", "--w", "--q"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_figure2_flag_non_finite_is_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "fig2.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["figure2", "--n-max", "3", flag, value, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.startswith("error:config:")
+        assert not out.exists()
+
+    def test_serialize_non_finite_raises(self):
+        # Tr(G sigma_x) = 2e308 overflows: the text would read 'inf'
+        fam = DephasingFamily(0.1, 0.0, 1e308 * X, -X)
+        cfg = replace(parse_config(EQ2), family=fam)
+        with pytest.raises(ConfigError, match="family.g0"):
+            serialize_config(cfg)
 
     def test_overflow_is_4(self, tmp_path, capsys):
         # finite inputs whose QFI overflows: a domain error, never an 'inf' row

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import (
     fd_bures_qfi,
@@ -13,7 +14,9 @@ from qmetro.channel_model import (
     OneParamChannel,
     dephasing_channel,
     depolarizing_kraus,
+    random_dephasing_family,
     random_one_param_channel,
+    rotated_family,
     x_rotation_dephasing,
 )
 from qmetro.fisher_info import (
@@ -37,11 +40,13 @@ from qmetro.fisher_info import (
 from qmetro.qubit_core import (
     I2,
     X,
+    Y,
     Z,
     BlochState,
     DensityState,
     DomainError,
     KrausSet,
+    ValidationError,
     apply_kraus,
     bloch_to_density,
     ptm_from_kraus,
@@ -64,6 +69,50 @@ def compose(first, second):
 def random_input_factor(rng, dim, cols):
     s = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
     return s / np.linalg.norm(s)
+
+
+def sphere_grid_oracle(ch):
+    """The former ancilla-free solver: the least-squares inner minimum at pure inputs.
+
+    The outer supremum runs over a 400-point Fibonacci grid of (theta, phi)
+    angles, followed by Nelder-Mead from the best 3 grid points.
+    """
+    k_ops, dk_ops = _kraus_arrays(ch)
+
+    def neg_obj(angles):
+        th, ph = angles
+        psi = np.array([[np.cos(th / 2.0)], [np.exp(1j * ph) * np.sin(th / 2.0)]])
+        return -_inner_min(k_ops, dk_ops, psi)[0]
+
+    idx = np.arange(400) + 0.5
+    pts = np.column_stack(
+        [np.arccos(1.0 - 2.0 * idx / 400), (np.pi * (1.0 + np.sqrt(5.0)) * idx) % (2.0 * np.pi)]
+    )
+    vals = np.array([-neg_obj(p) for p in pts])
+    best = vals.max()
+    for start in np.argsort(vals)[::-1][:3]:
+        res = minimize(
+            neg_obj,
+            pts[start],
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
+        )
+        best = max(best, -res.fun)
+    return 4.0 * float(best)
+
+
+def oracle_panel():
+    """README family, Stinespring env 1/2/4/8, dephasing families, rotated damping, unitary."""
+    rng = np.random.default_rng(20240811)
+    panel = {"readme": dephasing_channel(x_rotation_dephasing(0.1))}
+    panel.update({f"env{e}": random_one_param_channel(rng, env=e) for e in (1, 2, 4, 8)})
+    panel.update({f"dephasing{i}": dephasing_channel(random_dephasing_family(rng)) for i in range(5)})
+    generators = {"X": X, "Y": Y, "Z": Z, "XZ": (X + Z) / np.sqrt(2.0)}
+    for gamma in (0.1, 0.5):
+        for name, g in generators.items():
+            panel[f"damping{gamma}_{name}"] = rotated_family(damping_set(gamma), g)
+    panel["unitary_z"] = OneParamChannel([(I2, -1j * Z)])
+    return panel
 
 
 def random_state_family(rng, dim=2):
@@ -312,6 +361,25 @@ class TestChannelQfiNoAncilla:
         # design loses rank; the oracle's residual must stay accurate there
         ch = dephasing_channel(x_rotation_dephasing(0.1))
         assert channel_qfi_no_ancilla(ch) <= channel_qfi_ancilla(ch).value * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", list(oracle_panel()))
+    def test_matches_least_squares_oracle(self, name):
+        ch = oracle_panel()[name]
+        value, oracle = channel_qfi_no_ancilla(ch), sphere_grid_oracle(ch)
+        assert isinstance(value, float)
+        assert value >= oracle * (1 - 1e-9)
+        assert value <= oracle * (1 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["damping0.1_X", "damping0.5_X", "unitary_z"])
+    def test_pure_output_maximum_is_exact(self, name):
+        # the maximum sits at an input whose output is pure (every input, for
+        # the unitary), where 1 - |w|^2 = 0: nothing may divide by it
+        with np.errstate(all="raise"):
+            assert abs(channel_qfi_no_ancilla(oracle_panel()[name]) - 4.0) <= 4e-12
+
+    def test_rejects_non_qubit(self, rng):
+        with pytest.raises(ValidationError):
+            channel_qfi_no_ancilla(random_one_param_channel(rng, dim=4, env=2))
 
     def test_matches_sphere_grid_oracle(self, rng):
         fam = DephasingFamily(0.1, 0.0, Z, Z.copy())
