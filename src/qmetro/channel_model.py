@@ -16,11 +16,17 @@ family, and it carries the two structural conditions implemented here:
   full controls).
 * RGNKS: at least one of ``G0, G1`` is not proportional to ``Z`` (iff
   condition for the standard quantum limit under restricted controls).
+
+The distance from ``H`` to the Kraus span and the annihilating gauge
+(``H + sum_ij h_ij K_i^dag K_j = 0``, solved for non-unital channels) are one
+least-squares problem over Hermitian ``h``; both go through the same solver as
+the channel QFI's inner minimum.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +34,6 @@ import numpy as np
 from .qubit_core import (
     I2,
     PAULIS,
-    SIGMA,
     X,
     Y,
     Z,
@@ -36,6 +41,8 @@ from .qubit_core import (
     KrausSet,
     PauliTransferMap,
     ValidationError,
+    _herm_basis,
+    _herm_lstsq,
     choi_from_kraus,
     pauli_decompose,
     require_cptp,
@@ -56,8 +63,6 @@ __all__ = [
     "AnnihilatingGauge",
     "classify",
     "dephasing_channel",
-    "kraus_span",
-    "span_residual",
     "hnks_check",
     "rgnks_check",
     "canonical_pauli_form",
@@ -309,69 +314,22 @@ def depolarizing_kraus(lam: float) -> KrausSet:
 # ---------------------------------------------------------------------------
 
 
-def _herm_to_vec(op: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix (Frobenius norm preserved)."""
-    d = op.shape[0]
-    iu = np.triu_indices(d, 1)
-    return np.concatenate(
-        [np.real(np.diagonal(op)), np.sqrt(2.0) * np.real(op[iu]), np.sqrt(2.0) * np.imag(op[iu])]
-    )
-
-
-def kraus_span(ks: KrausSet) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of ``span{K_i^dag K_j}``.
-
-    The span is assembled from the Hermitian and anti-Hermitian parts of all
-    pairwise products, then orthonormalized with an SVD rank cut.  Applying
-    the induced projection twice equals applying it once.
-    """
-    ops = ks.ops
-    raw = []
-    for i in range(len(ops)):
-        for j in range(i, len(ops)):
-            prod = ops[i].conj().T @ ops[j]
-            raw.append((prod + prod.conj().T) / 2.0)
-            raw.append(1j * (prod - prod.conj().T) / 2.0)
-    vecs = np.array([_herm_to_vec(op) for op in raw])
-    u, s, vt = np.linalg.svd(vecs, full_matrices=False)
-    keep = s > 1e-10 * max(s[0], 1e-300)
-    d = ops[0].shape[0]
-    basis = []
-    for row in vt[keep]:
-        mat = np.zeros((d, d), dtype=complex)
-        k = 0
-        for a in range(d):
-            mat[a, a] = row[k]
-            k += 1
-        iu = np.triu_indices(d, 1)
-        n_off = len(iu[0])
-        re = row[k : k + n_off]
-        im = row[k + n_off : k + 2 * n_off]
-        mat[iu] += (re + 1j * im) / np.sqrt(2.0)
-        mat[(iu[1], iu[0])] += (re - 1j * im) / np.sqrt(2.0)
-        basis.append(mat)
-    return basis
-
-
-def span_residual(basis: list[np.ndarray], op: np.ndarray) -> float:
-    """Frobenius norm of the component of ``op`` orthogonal to the span."""
-    vec = _herm_to_vec(require_hermitian(op, name="operator"))
-    for b in basis:
-        bv = _herm_to_vec(b)
-        vec = vec - (bv @ vec) * bv
-    return float(np.linalg.norm(vec))
+def _span_lstsq(k_ops: np.ndarray, y: np.ndarray, cut: float):
+    """``(min ||sum_ij h_ij K_i^dag K_j + y||_F^2, h, rank)`` over Hermitian ``h``."""
+    gram = np.einsum("iba,jbc->ijac", k_ops.conj(), k_ops)  # K_i^dag K_j
+    return _herm_lstsq(np.tensordot(_herm_basis(len(k_ops)), gram, 2), y, cut)
 
 
 def hnks_check(ch: OneParamChannel, tol: float = 1e-7) -> HnksResult:
     """Test whether the Hamiltonian leaves the Kraus span (HNKS condition).
 
-    ``holds`` is True iff the residual of ``H = i sum K^dag dK`` outside
-    ``span{K_i^dag K_j}`` exceeds ``tol * ||H||``; a vanishing Hamiltonian
-    never satisfies the condition.
+    ``residual`` is the Frobenius distance ``min_h ||H - sum_ij h_ij K_i^dag K_j||``
+    over Hermitian ``h``, the least squares cutting span directions below 1e-10 of
+    the largest.  ``holds`` is True iff it exceeds ``tol * ||H||``; a vanishing
+    Hamiltonian never satisfies the condition.
     """
     h = ch.hamiltonian()
-    basis = kraus_span(ch.kraus_set())
-    residual = span_residual(basis, h)
+    residual = math.sqrt(_span_lstsq(np.array([p.k for p in ch.kraus]), -h, 1e-10)[0])
     h_norm = float(np.linalg.norm(h))
     holds = h_norm > 1e-14 and residual > tol * h_norm
     return HnksResult(holds=holds, hamiltonian=h, residual=residual)
@@ -390,7 +348,7 @@ def rgnks_check(fam: DephasingFamily, tol: float = 1e-9) -> bool:
 
 def _pauli_rows(ks: KrausSet) -> np.ndarray:
     """Rows of Pauli coefficients: ``K_i = sum_j M_ij sigma_j``."""
-    return np.array([[np.trace(k @ s) / 2.0 for s in PAULIS] for k in ks.ops])
+    return np.einsum("kab,jba->kj", ks.ops, PAULIS) / 2.0
 
 
 def canonical_pauli_form(ks: KrausSet, tol: float = 1e-12) -> CanonicalPauliForm:
@@ -425,13 +383,13 @@ def solve_h_annihilating(
 ) -> AnnihilatingGauge:
     """Hermitian ``h`` with ``H + sum_ij h_ij K_i^dag K_j = 0`` for a non-unital channel.
 
-    Works in the canonical Pauli-basis representation: diagonalize
-    ``frak_m = sum_i sqrt(gamma_i) v_i v_i^dag`` and, for every index with
-    ``gamma_i det(m~_i) != 0``, solve the 3x3 linear system that matches the
-    traceless part of ``-H``, then fix the trace with a multiple of the
-    identity.  Among eligible indices the solution of smallest operator norm
-    is returned (lowest index on ties).  Unital channels admit no such
-    guarantee and raise :class:`NotApplicableError`.
+    Works on the canonical Pauli-basis Kraus set, whose products span every
+    Hermitian 2x2 matrix when the channel is non-unital.  ``h`` is the
+    minimum-norm least-squares solution in ``_herm_basis`` coordinates: among
+    all solutions it minimises ``sum_i h_ii^2 + sum_{i<j} |h_ij|^2``.
+    ``residual``, the operator 2-norm of ``H + sum_ij h_ij K_i^dag K_j``, is
+    its certificate.  Unital channels admit no such guarantee and raise
+    :class:`NotApplicableError`.
     """
     h_target = require_hermitian(h_target, name="H")
     form = canonical_pauli_form(ks)
@@ -440,50 +398,10 @@ def solve_h_annihilating(
             "channel is unital within tolerance; the annihilating gauge is not guaranteed"
         )
     canon = form.kraus_set()
-    kc = canon.ops
-    svals, vecs = np.linalg.eigh(form.frak_m)
-    gammas = np.clip(svals, 0.0, None) ** 2
-    re_m, im_m = np.real(form.m), np.imag(form.m)
-    eta = np.array([np.trace(h_target @ s).real / 2.0 for s in SIGMA])
-
-    def residual_of(h):
-        total = h_target + sum(
-            h[a, b] * kc[a].conj().T @ kc[b] for a in range(4) for b in range(4)
-        )
-        return float(np.linalg.norm(total, 2))
-
-    candidates = []
-    for idx in range(3):
-        v = vecs[:, idx]
-        gamma = gammas[idx]
-        re_v, im_v = np.real(v), np.imag(v)
-        cols = np.column_stack(
-            [
-                form.m00 * re_v + np.cross(re_m, im_v) - np.cross(im_m, re_v),
-                -form.m00 * im_v + np.cross(re_m, re_v) + np.cross(im_m, im_v),
-                np.cross(re_v, im_v),
-            ]
-        )
-        if gamma * abs(np.linalg.det(cols)) < 1e-12:
-            continue
-        u = np.linalg.solve(cols, -eta / 2.0)
-        h_i = (u[0] + 1j * u[1]) / np.sqrt(gamma)
-        g_i = u[2] / gamma
-        block = np.zeros((4, 4), dtype=complex)
-        block[0, 1:] = (h_i * v).conj()
-        block[1:, 0] = h_i * v
-        block[1:, 1:] = g_i * np.outer(v, v.conj())
-        generated = sum(
-            block[a, b] * kc[a].conj().T @ kc[b] for a in range(4) for b in range(4)
-        )
-        shift = float(np.trace(-h_target - generated).real)
-        h_full = block + (shift / 2.0) * np.eye(4)
-        candidates.append((float(np.linalg.norm(h_full, 2)), idx, h_full))
-    if not candidates:
-        raise NotApplicableError("no eligible canonical index found (channel too close to unital)")
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    h_best = candidates[0][2]
-    return AnnihilatingGauge(h=h_best, kraus=canon, residual=residual_of(h_best))
+    kc = np.array(canon.ops)
+    h = _span_lstsq(kc, h_target, 1e-12)[1]
+    total = h_target + np.einsum("ij,iba,jbc->ac", h, kc.conj(), kc)
+    return AnnihilatingGauge(h=h, kraus=canon, residual=float(np.linalg.norm(total, 2)))
 
 
 # ---------------------------------------------------------------------------

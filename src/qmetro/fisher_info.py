@@ -6,7 +6,8 @@ flavours of the channel QFI rest on one exact inner minimum: with
 ``B_j(h) = dK_j - i sum_i h_ji K_i`` over Hermitian gauges ``h`` and
 ``alpha(h) = sum_j B_j(h)^dag B_j(h)``, the function
 ``min_h Tr(rho alpha(h))`` of an input state ``rho = s s^dag`` is a real
-linear least-squares problem in ``h`` (``_inner_min``).
+linear least-squares problem in ``h`` (``_inner_min``, on the Hermitian least
+squares that ``channel_model`` also uses for HNKS and the annihilating gauge).
 
 * ancilla-assisted, ``4 min_h ||alpha(h)||``.  By the minimax theorem
   (Fujiwara & Imai 2008; Demkowicz-Dobrzanski, Kolodynski & Guta,
@@ -37,6 +38,8 @@ from .qubit_core import (
     PauliTransferMap,
     SIGMA,
     ValidationError,
+    _herm_basis,
+    _herm_lstsq,
     pauli_sandwich,
     ptm_derivative_from_kraus,
     require_hermitian,
@@ -269,22 +272,6 @@ NEWTON_STEPS = 30  # most Newton steps from one start
 NEAR_PURE = 1e-9  # Newton runs stop short of outputs with 0 < 1 - |w|^2 < NEAR_PURE
 
 
-def _herm_basis(r: int) -> np.ndarray:
-    """Real basis of the r x r Hermitian matrices, shape ``(r*r, r, r)``.
-
-    Diagonal units first, then ``E_ij + E_ji`` and ``i E_ij - i E_ji`` over
-    the strict upper triangle.
-    """
-    iu, ju = np.triu_indices(r, 1)
-    off = r + np.arange(len(iu))
-    basis = np.zeros((r * r, r, r), dtype=complex)
-    basis[np.arange(r), np.arange(r), np.arange(r)] = 1.0
-    basis[off, iu, ju] = basis[off, ju, iu] = 1.0
-    basis[off + len(iu), iu, ju] = 1j
-    basis[off + len(iu), ju, iu] = -1j
-    return basis
-
-
 def _alpha(k_ops: np.ndarray, dk_ops: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``alpha(h) = sum_j B_j(h)^dag B_j(h)`` with ``B_j(h) = dK_j - i sum_i h_ji K_i``."""
     b = dk_ops - 1j * np.einsum("ji,iab->jab", h, k_ops)
@@ -298,19 +285,9 @@ def _inner_min(k_ops: np.ndarray, dk_ops: np.ndarray, s: np.ndarray):
     linear least-squares problem in the coordinates of Hermitian ``h``.
     """
     basis = _herm_basis(k_ops.shape[0])
-    design = -1j * np.einsum("pji,iam->pjam", basis, k_ops @ s).reshape(len(basis), -1)
-    y = (dk_ops @ s).reshape(-1)
-    a_real = np.concatenate([design.real, design.imag], axis=1).T
-    y_real = np.concatenate([y.real, y.imag])
-    u, sv, vt = np.linalg.svd(a_real, full_matrices=False)
-    # the cut drops noise directions of a (nearly) rank-deficient design;
-    # the residual is y's part outside the kept columns of u, because
-    # a_real @ x + y_real cancels the 1/sv growth of x only to roundoff
-    keep = sv > 1e-12 * sv[0]
-    coeffs = u[:, keep].T @ y_real
-    resid = y_real - u[:, keep] @ coeffs
-    x = -vt[keep].T @ (coeffs / sv[keep])
-    return float(resid @ resid), np.tensordot(x, basis, 1)
+    images = -1j * np.einsum("pji,iam->pjam", basis, k_ops @ s)
+    resid, h, _ = _herm_lstsq(images, dk_ops @ s, 1e-12)
+    return resid, h
 
 
 def _kraus_arrays(ch: OneParamChannel):

@@ -27,6 +27,7 @@ power ``n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .channel_model import (
     NotApplicableError,
     OneParamChannel,
 )
-from .fisher_info import Povm, povm_fi, qfi_bloch, qfi_state
+from .fisher_info import Povm, _bloch_qfi, qfi_bloch, qfi_state
 from .qubit_core import (
     I2,
     X,
@@ -47,7 +48,6 @@ from .qubit_core import (
     DomainError,
     PauliTransferMap,
     ValidationError,
-    bloch_to_density,
     pauli_decompose,
     ptm_derivative_from_kraus,
     ptm_from_kraus,
@@ -117,6 +117,8 @@ class ProtocolResult:
     trajectory: tuple | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.qfi_or_fi):
+            raise DomainError(f"qfi_or_fi is not finite ({self.qfi_or_fi}): the inputs overflow")
         if self.qfi_or_fi < -1e-12:
             raise ValidationError("qfi_or_fi must be nonnegative")
 
@@ -371,15 +373,18 @@ def spam_fi(
     """FI of the unitary-control protocol under SPAM noise of rate ``q``.
 
     The input state is ``(1-q)|0><0| + q|1><1|`` and the readout is the fixed
-    binary POVM ``{M, I - M}`` with ``M = (1-q)|0><0| + q|1><1|``.
+    binary POVM ``{M, I - M}`` with ``M = (1-q)|0><0| + q|1><1|``, whose FI
+    on the terminal Bloch pair is ``s'^2 / (1 - s^2)`` with ``s = (1-2q) v_z`` and
+    ``s' = (1-2q) dv_z``; a noiseless readout at the pole (``s^2 = 1``) gets ``s'^2``.
     """
     if not 0.0 <= q <= 0.5:
         raise DomainError("q must lie in [0, 1/2]")
     z0 = 1.0 - 2.0 * q
     if z0 <= 0.0:
         return 0.0  # input is maximally mixed and the POVM element is I/2
-    result = sql_protocol(fam, n, w, variant=variant, z0=z0)
-    return povm_fi(bloch_to_density(result.terminal), spam_povm(q))
+    terminal = sql_protocol(fam, n, w, variant=variant, z0=z0).terminal
+    s, ds = z0 * terminal.v[2], z0 * terminal.dv[2]
+    return float(_bloch_qfi(ds * ds, s * ds, 1.0 - s * s)[0])
 
 
 def spam_povm(q: float) -> Povm:

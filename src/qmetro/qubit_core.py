@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,6 +94,53 @@ def require_hermitian(op: np.ndarray, atol: float = HERM_ATOL, name: str = "oper
     if np.abs(op - op.conj().T).max() > atol:
         raise ValidationError(f"{name} is not Hermitian within {atol:g}")
     return op
+
+
+# ---------------------------------------------------------------------------
+# Least squares over Hermitian matrices
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _herm_basis(r: int) -> np.ndarray:
+    """Real basis of the r x r Hermitian matrices, shape ``(r*r, r, r)``, read-only.
+
+    Diagonal units first, then ``E_ij + E_ji`` and ``i E_ij - i E_ji`` over
+    the strict upper triangle.
+    """
+    iu, ju = np.triu_indices(r, 1)
+    off = r + np.arange(len(iu))
+    basis = np.zeros((r * r, r, r), dtype=complex)
+    basis[np.arange(r), np.arange(r), np.arange(r)] = 1.0
+    basis[off, iu, ju] = basis[off, ju, iu] = 1.0
+    basis[off + len(iu), iu, ju] = 1j
+    basis[off + len(iu), ju, iu] = -1j
+    basis.flags.writeable = False
+    return basis
+
+
+def _herm_lstsq(images: np.ndarray, y: np.ndarray, cut: float):
+    """``(min ||A(h) + y||^2, h, rank)`` over Hermitian ``h`` for a real-linear map ``A``.
+
+    ``images[p]`` is ``A(_herm_basis(r)[p])``, a complex array shaped like ``y``;
+    the norm is Frobenius.  The SVD of the real design keeps singular values above
+    ``cut`` times the largest, and ``h`` is the minimum-norm solution in
+    ``_herm_basis`` coordinates.
+    """
+    design = images.reshape(len(images), -1)
+    y = y.reshape(-1)
+    a_real = np.concatenate([design.real, design.imag], axis=1).T
+    y_real = np.concatenate([y.real, y.imag])
+    u, sv, vt = np.linalg.svd(a_real, full_matrices=False)
+    # the cut drops noise directions of a (nearly) rank-deficient design;
+    # the residual is y's part outside the kept columns of u, because
+    # a_real @ x + y_real cancels the 1/sv growth of x only to roundoff
+    keep = sv > cut * sv[0]
+    coeffs = u[:, keep].T @ y_real
+    resid = y_real - u[:, keep] @ coeffs
+    x = -vt[keep].T @ (coeffs / sv[keep])
+    h = np.tensordot(x, _herm_basis(math.isqrt(len(images))), 1)
+    return float(resid @ resid), h, int(keep.sum())
 
 
 # ---------------------------------------------------------------------------

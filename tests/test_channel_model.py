@@ -13,14 +13,13 @@ from qmetro.channel_model import (
     classify,
     dephasing_channel,
     depolarizing_kraus,
+    _span_lstsq,
     hnks_check,
-    kraus_span,
     random_dephasing_family,
     random_one_param_channel,
     rgnks_check,
     rotated_family,
     solve_h_annihilating,
-    span_residual,
     x_rotation_dephasing,
 )
 from qmetro.cli import parse_config, serialize_config
@@ -33,6 +32,8 @@ from qmetro.qubit_core import (
     KrausSet,
     PauliTransferMap,
     ValidationError,
+    _herm_basis,
+    _herm_lstsq,
     choi_from_kraus,
     ptm_from_kraus,
     random_cptp_kraus,
@@ -118,22 +119,71 @@ class TestKrausPair:
             KrausPair(I2, np.array([[0.0, 0.0], [bad, 0.0]]))
 
 
+# Oracle: the Kraus-span projection the shared least squares replaced.  The span
+# is orthonormalized from the Hermitian and anti-Hermitian parts of all pairwise
+# products in isometric real coordinates, and a residual is the norm left after
+# subtracting each basis component.
+
+
+def _herm_to_vec(op):
+    d = op.shape[0]
+    iu = np.triu_indices(d, 1)
+    return np.concatenate(
+        [np.real(np.diagonal(op)), np.sqrt(2.0) * np.real(op[iu]), np.sqrt(2.0) * np.imag(op[iu])]
+    )
+
+
+def kraus_span_oracle(ks):
+    ops = ks.ops
+    raw = []
+    for i in range(len(ops)):
+        for j in range(i, len(ops)):
+            prod = ops[i].conj().T @ ops[j]
+            raw.append((prod + prod.conj().T) / 2.0)
+            raw.append(1j * (prod - prod.conj().T) / 2.0)
+    vecs = np.array([_herm_to_vec(op) for op in raw])
+    _, s, vt = np.linalg.svd(vecs, full_matrices=False)
+    return vt[s > 1e-10 * max(s[0], 1e-300)]
+
+
+def span_residual_oracle(basis, op):
+    vec = _herm_to_vec(op)
+    for bv in basis:
+        vec = vec - (bv @ vec) * bv
+    return float(np.linalg.norm(vec))
+
+
+def span_fit(ks, op):
+    """``(residual of op outside span{K_i^dag K_j}, h, rank)`` from the shared helper.
+
+    The images are built by loops, independently of ``_span_lstsq``'s einsum.
+    """
+    ops = ks.ops
+    images = np.array(
+        [
+            sum(b[i, j] * ops[i].conj().T @ ops[j] for i in range(len(ops)) for j in range(len(ops)))
+            for b in _herm_basis(len(ops))
+        ]
+    )
+    sq, h, rank = _herm_lstsq(images, -np.asarray(op, dtype=complex), 1e-10)
+    return np.sqrt(sq), h, rank
+
+
 class TestKrausSpan:
     def test_dephasing_span_is_identity_and_z(self):
-        basis = kraus_span(dephasing_channel(x_rotation_dephasing(0.1)).kraus_set())
-        assert len(basis) == 2
-        assert span_residual(basis, I2) < 1e-10
-        assert span_residual(basis, Z) < 1e-10
-        assert span_residual(basis, X) > 0.9
+        ks = dephasing_channel(x_rotation_dephasing(0.1)).kraus_set()
+        assert span_fit(ks, I2)[2] == 2
+        assert len(kraus_span_oracle(ks)) == 2
+        assert span_fit(ks, I2)[0] < 1e-10
+        assert span_fit(ks, Z)[0] < 1e-10
+        assert span_fit(ks, X)[0] > 0.9
 
     def test_identity_channel(self):
-        basis = kraus_span(KrausSet([I2]))
-        assert len(basis) == 1
+        assert span_fit(KrausSet([I2]), I2)[2] == 1
 
     def test_amplitude_damping_full(self, rng):
         ks = damping_set(0.3)
-        basis = kraus_span(ks)
-        assert len(basis) == 4
+        assert span_fit(ks, I2)[2] == 4
         # brute-force oracle: rank of the Gram matrix of Hermitian/anti-Hermitian
         # parts of the pairwise products
         parts = []
@@ -146,15 +196,40 @@ class TestKrausSpan:
         assert np.linalg.matrix_rank(gram, tol=1e-10) == 4
 
     def test_projection_idempotent(self, rng):
-        basis = kraus_span(random_cptp_kraus(rng, env=2))
+        ks = random_cptp_kraus(rng, env=2)
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         h = (h + h.conj().T) / 2
-        once = span_residual(basis, h)
+        once, coeffs, _ = span_fit(ks, h)
         # removing the span component again changes nothing
-        proj = h.copy()
-        for b in basis:
-            proj = proj - np.trace(b.conj().T @ proj) * b
-        assert np.isclose(span_residual(basis, proj), once, atol=1e-12)
+        proj = h - sum(coeffs[i, j] * ks.ops[i].conj().T @ ks.ops[j] for i in range(2) for j in range(2))
+        assert np.isclose(span_fit(ks, proj)[0], once, atol=1e-12)
+
+    def test_einsum_images_match_loops(self, rng):
+        ks = random_cptp_kraus(rng, env=3)
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = (h + h.conj().T) / 2
+        sq, coeffs, rank = _span_lstsq(np.array(ks.ops), -h, 1e-10)
+        want, want_coeffs, want_rank = span_fit(ks, h)
+        assert rank == want_rank == 4
+        assert np.isclose(np.sqrt(sq), want, atol=1e-12)
+        assert np.allclose(coeffs, want_coeffs, atol=1e-12)
+
+    def test_hnks_matches_span_projection_oracle(self, rng):
+        # mixed ensemble: Stinespring (contractive), dephasing and unitary families
+        for trial in range(300):
+            kind = trial % 3
+            if kind == 0:
+                ch = random_one_param_channel(rng)
+            elif kind == 1:
+                ch = dephasing_channel(random_dephasing_family(rng))
+            else:
+                g = rng.normal(size=3)
+                ch = rotated_family(KrausSet([I2]), g[0] * X + g[1] * Y + g[2] * Z)
+            res = hnks_check(ch)
+            h_norm = np.linalg.norm(res.hamiltonian)
+            want = span_residual_oracle(kraus_span_oracle(ch.kraus_set()), res.hamiltonian)
+            assert res.holds == (h_norm > 1e-14 and want > 1e-7 * h_norm)
+            assert abs(res.residual - want) <= 1e-12 * h_norm
 
 
 class TestHnks:

@@ -555,3 +555,17 @@ class TestGrammarProperties:
         rows = out.getvalue().splitlines()[1:]
         assert len(rows) == len(ns)
         assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[2:])
+
+    def test_spam_pure_terminal_state(self, tmp_path, capsys):
+        # a falsifying example of the property above: the spam readout of a pure
+        # terminal state at the pole has a zero-probability outcome
+        cfg_path = tmp_path / "pole.conf"
+        cfg_path.write_text(
+            "family.p = 0.5\nfamily.g0 = 1 0 0\nfamily.g1 = 1.8019858144938336e+128 0 0\n"
+            "protocol.kind = spam\nprotocol.w = 1.2318483770848971e-280\nprotocol.z0 = 0\n"
+            "protocol.q = 0\nn = 1\n"
+        )
+        assert main(["--config", str(cfg_path), "sweep"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1
+        assert all(math.isfinite(float(x)) for x in rows[0].split(",")[2:])

@@ -9,7 +9,7 @@ from qmetro.channel_model import (
     random_dephasing_family,
     x_rotation_dephasing,
 )
-from qmetro.fisher_info import qfi_bloch, qfi_state
+from qmetro.fisher_info import povm_fi, qfi_bloch, qfi_state
 from qmetro.protocols import (
     SQL_VARIANTS,
     BlochKernel,
@@ -20,6 +20,7 @@ from qmetro.protocols import (
     repeated_measurement,
     simulate_sequence,
     spam_fi,
+    spam_povm,
     sql_asymptotic,
     sql_control_ptm,
     sql_protocol,
@@ -33,6 +34,7 @@ from qmetro.qubit_core import (
     DensityState,
     DomainError,
     PauliTransferMap,
+    bloch_to_density,
     ptm_from_kraus,
     random_cptp_kraus,
     random_unital_ptm,
@@ -338,6 +340,13 @@ class TestRepeatedMeasurement:
         res = repeated_measurement(fam, 20, 6)
         assert res.meta["blocks"] == 3 and res.meta["remainder"] == 2
 
+    def test_overflow_raises_domain_error(self):
+        # without cli.main's error state numpy only warns, so the result must refuse inf
+        with np.errstate(over="ignore"):
+            assert repeated_measurement(DephasingFamily(0.5, 0.0, ZERO, 1.34e154 * Y), 1, 1).qfi_or_fi < np.inf
+            with pytest.raises(DomainError, match="not finite"):
+                repeated_measurement(DephasingFamily(0.5, 0.0, ZERO, 1.35e154 * Y), 1, 1)
+
 
 class TestSpamFi:
     def test_maximal_noise(self):
@@ -360,6 +369,20 @@ class TestSpamFi:
     def test_q_outside_range(self):
         with pytest.raises(DomainError):
             spam_fi(x_rotation_dephasing(0.1), 10, 0.01, 0.7)
+
+    def test_matches_povm_oracle(self, rng):
+        for _ in range(300):
+            fam = random_dephasing_family(rng)
+            n, w, q = int(rng.integers(1, 200)), rng.uniform(0.0, 0.05), rng.uniform(0.01, 0.45)
+            variant = SQL_VARIANTS[rng.integers(len(SQL_VARIANTS))]
+            terminal = sql_protocol(fam, n, w, variant=variant, z0=1.0 - 2.0 * q).terminal
+            want = povm_fi(bloch_to_density(terminal), spam_povm(q))
+            assert np.isclose(spam_fi(fam, n, w, q, variant), want, rtol=1e-12, atol=0.0)
+
+    def test_noiseless_readout_at_the_pole(self):
+        # p = 1/2 leaves the Z axis fixed, so the pure terminal state sits at the pole
+        fam = DephasingFamily(0.5, 0.0, X, 1.8019858144938336e128 * X)
+        assert spam_fi(fam, 1, 1.2318483770848971e-280, 0.0) == pytest.approx(4e-24, rel=1e-9)
 
 
 class TestQec:
