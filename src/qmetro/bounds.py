@@ -41,10 +41,10 @@ from .channel_model import (
 )
 from .fisher_info import GaugeMatrix, channel_qfi_no_ancilla, eta_bound
 from .qubit_core import (
-    Z,
     DomainError,
     PauliTransferMap,
     ValidationError,
+    _overflow_is_domain_error,
     pauli_compose,
     pauli_decompose,
     pauli_sandwich,
@@ -110,7 +110,7 @@ def unital_gauge(fam: DephasingFamily) -> GaugeMatrix:
     ``h01 = h10 = -[(1-p) Tr(G0 Z) + p Tr(G1 Z)] / (4 sqrt(p(1-p)))``.
     """
     p = fam.p
-    off = -pauli_decompose(fam.g_plus)[3] / (4.0 * np.sqrt(p * (1.0 - p)))
+    off = -fam.g_plus_coords[3] / (4.0 * np.sqrt(p * (1.0 - p)))
     return GaugeMatrix(np.array([[0.0, off], [off, 0.0]], dtype=complex))
 
 
@@ -122,7 +122,7 @@ def nonunital_gauge(fam: DephasingFamily, iota_prev: np.ndarray) -> GaugeMatrix:
     ``|Tr(iota Z)/2| < 1``; reduces to :func:`unital_gauge` at ``iota = I``.
     """
     p = fam.p
-    iota, gp, gm = (pauli_decompose(op) for op in (iota_prev, fam.g_plus, fam.g_minus))
+    iota, gp, gm = pauli_decompose(iota_prev), fam.g_plus_coords, fam.g_minus_coords
     z = iota[3] / 2.0
     if abs(z) >= 1.0:
         raise DomainError(f"|Tr(iota Z)/2| = {abs(z):.6g} >= 1: control too non-unital")
@@ -177,27 +177,21 @@ def step_operators(pairs, iota: np.ndarray):
     return pauli_compose(a), pauli_compose(b), pauli_compose(u @ pauli_decompose(iota))
 
 
+@_overflow_is_domain_error
 def extension_bound(ch, steps) -> BoundReport:
     """Refined channel-extension upper bound for the given control sequence.
 
     ``ch`` is a :class:`~qmetro.channel_model.DephasingFamily` or a
     :class:`~qmetro.channel_model.OneParamChannel`; ``steps`` supply the
     per-step controls and gauges.  The returned total upper-bounds the QFI of
-    every input state and measurement run through the same sequence.
+    every input state and measurement run through the same sequence.  Raises
+    :class:`DomainError` when it overflows.
     """
     if not steps:
         raise ValidationError("steps must be nonempty")
-    if isinstance(ch, DephasingFamily):
-        base = dephasing_channel(ch)
-        fam = ch
-    else:
-        base = ch
-        fam = None
-    if base.dim != 2:
-        raise ValidationError("extension_bound runs on qubit channels")
-    ks = [p.k for p in base.kraus]
-    chan = pauli_sandwich(ks, ks).real / 2.0
-    chan[0] = (1.0, 0.0, 0.0, 0.0)  # trace preservation, exactly
+    fam = ch if isinstance(ch, DephasingFamily) else None
+    base = ch if fam is None else dephasing_channel(fam)
+    chan = ptm_from_kraus(base.kraus_set()).matrix  # first row exactly (1, 0, 0, 0)
     iota = np.array([2.0, 0.0, 0.0, 0.0])  # coordinates of I
     gamma = np.zeros(4)
     alpha_terms, cross_terms, gamma_norms = [], [], []
@@ -241,7 +235,7 @@ def rgnks_violated_bound(fam: DephasingFamily) -> float:
     """
     if rgnks_check(fam):
         raise NotApplicableError("RGNKS holds: the constant ceiling does not apply")
-    tr_gm_z = np.trace(fam.g_minus @ Z).real
+    tr_gm_z = fam.g_minus_coords[3]
     p = fam.p
     return float((tr_gm_z**2 + 4.0 * fam.pdot**2) / (p * p * (1.0 - p) ** 2))
 

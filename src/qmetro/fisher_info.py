@@ -40,6 +40,7 @@ from .qubit_core import (
     ValidationError,
     _herm_basis,
     _herm_lstsq,
+    _overflow_is_domain_error,
     pauli_sandwich,
     ptm_derivative_from_kraus,
     require_hermitian,
@@ -132,6 +133,18 @@ class ChannelQfiResult:
 # ---------------------------------------------------------------------------
 
 
+def _eigen_pairs(s: DensityState, warning: str):
+    """rho's eigenvectors, drho in their frame, the eigenvalue pair sums and the mask of sums above
+    ``EIG_PAIR_CUTOFF``; warns the caller's caller when drho has weight outside the mask."""
+    lam, vecs = np.linalg.eigh(s.rho)
+    d = vecs.conj().T @ s.drho @ vecs
+    pair_sums = lam[:, None] + lam[None, :]
+    mask = pair_sums > EIG_PAIR_CUTOFF
+    if float(np.sum(np.abs(d[~mask]) ** 2)) > 1e-18:
+        warnings.warn(warning, RankDeficiencyWarning, stacklevel=3)
+    return vecs, d, pair_sums, mask
+
+
 def qfi_state(s: DensityState) -> float:
     """QFI from the eigendecomposition of rho.
 
@@ -139,19 +152,10 @@ def qfi_state(s: DensityState) -> float:
     carries weight on excluded pairs a :class:`RankDeficiencyWarning` is
     issued.
     """
-    lam, vecs = np.linalg.eigh(s.rho)
-    d = vecs.conj().T @ s.drho @ vecs
-    pair_sums = lam[:, None] + lam[None, :]
-    mask = pair_sums > EIG_PAIR_CUTOFF
-    f = 2.0 * float(np.sum(np.abs(d[mask]) ** 2 / pair_sums[mask]))
-    skipped = float(np.sum(np.abs(d[~mask]) ** 2))
-    if skipped > 1e-18:
-        warnings.warn(
-            "derivative has weight on eigenvalue pairs below the cutoff; QFI may be underestimated",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return f
+    _, d, pair_sums, mask = _eigen_pairs(
+        s, "derivative has weight on eigenvalue pairs below the cutoff; QFI may be underestimated"
+    )
+    return 2.0 * float(np.sum(np.abs(d[mask]) ** 2 / pair_sums[mask]))
 
 
 def _bloch_qfi(a, b, c):
@@ -188,19 +192,11 @@ def qfi_bloch(b) -> float:
 
 def sld(s: DensityState) -> np.ndarray:
     """Symmetric logarithmic derivative: ``(L rho + rho L)/2 = drho`` on the support."""
-    lam, vecs = np.linalg.eigh(s.rho)
-    d = vecs.conj().T @ s.drho @ vecs
-    pair_sums = lam[:, None] + lam[None, :]
+    vecs, d, pair_sums, mask = _eigen_pairs(
+        s, "derivative mixes into the kernel of rho; SLD restricted to the support"
+    )
     l_eig = np.zeros_like(d)
-    mask = pair_sums > EIG_PAIR_CUTOFF
     l_eig[mask] = 2.0 * d[mask] / pair_sums[mask]
-    skipped = float(np.sum(np.abs(d[~mask]) ** 2))
-    if skipped > 1e-18:
-        warnings.warn(
-            "derivative mixes into the kernel of rho; SLD restricted to the support",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
     return vecs @ l_eig @ vecs.conj().T
 
 
@@ -294,6 +290,7 @@ def _kraus_arrays(ch: OneParamChannel):
     return np.array([p.k for p in ch.kraus]), np.array([p.dk for p in ch.kraus])
 
 
+@_overflow_is_domain_error
 def channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
     """Ancilla-assisted channel QFI ``4 min_h ||alpha(h)||``, certified by its dual.
 
@@ -307,7 +304,7 @@ def channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
     ``value = 4 lambda_max(alpha(h_opt))`` and the lower bound
     ``4 Tr(rho* alpha(h_opt))``; ``gap`` is their difference, so the exact
     QFI lies in ``[value - gap, value]``.  Raises :class:`ConvergenceError`
-    when ``gap > GAP_RTOL * value``.
+    when ``gap > GAP_RTOL * value``, :class:`DomainError` when it overflows.
     """
     k_ops, dk_ops = _kraus_arrays(ch)
     d = ch.dim
@@ -421,6 +418,7 @@ def _newton_ascent(v, t, T, dt, dT) -> float:
     return float(best)
 
 
+@_overflow_is_domain_error
 def channel_qfi_no_ancilla(ch: OneParamChannel) -> float:
     """Ancilla-free channel QFI ``4 sup_psi min_h <psi|alpha(h)|psi>`` for a qubit channel.
 
@@ -430,9 +428,8 @@ def channel_qfi_no_ancilla(ch: OneParamChannel) -> float:
     Fibonacci grid, Newton runs from its best ``NEWTON_STARTS`` points, and the candidates
     where the value ``|w'|^2`` of a pure output need not be the limit of nearby values: the
     pure-output inputs, and the top eigenvectors of ``dT^T dT`` (when every output is pure).
+    Raises :class:`DomainError` when the QFI overflows.
     """
-    if ch.dim != 2:
-        raise ValidationError("channel_qfi_no_ancilla expects a qubit channel")
     k_ops, dk_ops = _kraus_arrays(ch)
     m = pauli_sandwich(k_ops, k_ops).real / 2.0
     t, T = m[1:, 0], m[1:, 1:]

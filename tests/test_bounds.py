@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,14 @@ class TestExtensionBound:
         fam = DephasingFamily(0.2, 0.0, np.zeros((2, 2)), np.zeros((2, 2)))
         report = extension_bound(fam, identity_steps(fam, 5))
         assert abs(report.total) < 1e-12
+
+    def test_overflow_is_domain_error(self):
+        fam = DephasingFamily(0.3, 0.0, 1e155 * X, np.zeros((2, 2)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="overflow"):
+                extension_bound(fam, identity_steps(fam, 3))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_total_is_sum_of_terms(self, rng):
         fam = random_dephasing_family(rng)

@@ -463,6 +463,16 @@ class TestGrammar:
         assert capsys.readouterr().err.startswith("error:domain:overflow")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["qfi", "bound"])
+    def test_overflowing_channel_is_4(self, tmp_path, capsys, command):
+        # G0 = 1e155 X: the channel QFI and the bound do not fit in a double
+        cfg_path = tmp_path / "big.conf"
+        out = tmp_path / "rows.csv"
+        cfg_path.write_text("family.p = 0.3\nfamily.g0 = 1e155 0 0\n")
+        assert main(["--config", str(cfg_path), "--out", str(out), command]) == 4
+        assert capsys.readouterr().err.startswith("error:domain:overflow")
+        assert not out.exists()
+
     def test_reversed_range(self):
         with pytest.raises(ConfigError, match="reversed"):
             parse_config(EQ2 + "n = 5..2\n")

@@ -406,6 +406,21 @@ class TestChannelQfiNoAncilla:
         assert np.isclose(value, best, rtol=1e-4)
 
 
+class TestChannelQfiOverflow:
+    # Tr(G0 X) = 2e155: the QFI is of order 1e310 and does not fit in a double
+    FAM = DephasingFamily(0.3, 0.0, 1e155 * X, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("solver", [channel_qfi_no_ancilla, channel_qfi_ancilla])
+    def test_overflow_is_domain_error(self, solver, capfd):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="overflow"):
+                solver(dephasing_channel(self.FAM))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err  # no LAPACK complaint either
+
+
 class TestQfiProperties:
     def test_data_processing(self, rng):
         for _ in range(200):

@@ -252,6 +252,17 @@ class TestBlochKernel:
         assert np.allclose(kernel.dT, cross_x * lam, atol=1e-12)
         assert np.allclose(kernel.dt, 0, atol=1e-12)
 
+    def test_family_kernel_is_exact(self, rng):
+        # the Kraus-built kernel has T[2,2] = 1 - 1.1e-16 on TestTransferMatrix.FAM,
+        # which moves the g1x SQL QFI by 2e-8 relative at n = 1e5: keep the exact one
+        from qmetro.protocols import BlochKernel
+
+        for fam in [TestTransferMatrix.FAM] + [random_dephasing_family(rng) for _ in range(20)]:
+            kernel = BlochKernel.from_family(fam)
+            assert kernel.T[2, 2] == 1.0
+            assert np.array_equal(kernel.T - np.diag(np.diag(kernel.T)), np.zeros((3, 3)))
+            assert not kernel.t.any() and not kernel.dt.any()
+
     def test_family_and_channel_kernels_agree(self, rng):
         from qmetro.channel_model import dephasing_channel
         from qmetro.protocols import BlochKernel
