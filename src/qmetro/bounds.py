@@ -39,7 +39,7 @@ from .channel_model import (
     dephasing_channel,
     rgnks_check,
 )
-from .fisher_info import GaugeMatrix, channel_qfi_no_ancilla, eta_bound
+from .fisher_info import GaugeMatrix, _gauged_derivatives, channel_qfi_no_ancilla, eta_bound
 from .qubit_core import (
     DomainError,
     PauliTransferMap,
@@ -144,16 +144,10 @@ def nonunital_gauge(fam: DephasingFamily, iota_prev: np.ndarray) -> GaugeMatrix:
 
 def gauged_pairs(ch: OneParamChannel, gauge: GaugeMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """Apply the Kraus-representation gauge: ``dK~_i = dK_i - i sum_j h_ij K_j``."""
-    h = gauge.h
     r = len(ch.kraus)
-    if h.shape != (r, r):
-        raise ValidationError(f"gauge must be {r}x{r} for this channel, got {h.shape}")
-    ks = [p.k for p in ch.kraus]
-    out = []
-    for i, pair in enumerate(ch.kraus):
-        dk = pair.dk - 1j * sum(h[i, j] * ks[j] for j in range(r))
-        out.append((pair.k, dk))
-    return out
+    if gauge.h.shape != (r, r):
+        raise ValidationError(f"gauge must be {r}x{r} for this channel, got {gauge.h.shape}")
+    return list(zip(ch.k_ops, _gauged_derivatives(ch.k_ops, ch.dk_ops, gauge.h)))
 
 
 def step_coordinates(pairs):
@@ -227,17 +221,18 @@ def extension_bound(ch, steps) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+@_overflow_is_domain_error
 def rgnks_violated_bound(fam: DephasingFamily) -> float:
     """Constant QFI ceiling ``(Tr(G- Z)^2 + 4 pdot^2) / (p^2 (1-p)^2)``.
 
     Applies to dephasing families with ``G0, G1`` proportional to Z (RGNKS
-    violated) under unital controls.
+    violated) under unital controls.  Raises :class:`DomainError` when it overflows.
     """
     if rgnks_check(fam):
         raise NotApplicableError("RGNKS holds: the constant ceiling does not apply")
     tr_gm_z = fam.g_minus_coords[3]
-    p = fam.p
-    return float((tr_gm_z**2 + 4.0 * fam.pdot**2) / (p * p * (1.0 - p) ** 2))
+    p, pdot = np.float64(fam.p), np.float64(fam.pdot)  # numpy scalars obey the error state
+    return float((tr_gm_z**2 + 4.0 * pdot**2) / (p * p * (1.0 - p) ** 2))
 
 
 def contractive_bound(ch: OneParamChannel) -> float:

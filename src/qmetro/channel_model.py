@@ -47,7 +47,6 @@ from .qubit_core import (
     pauli_decompose,
     require_cptp,
     require_hermitian,
-    validate_cptp,  # noqa: F401  (an import site the benchmark tracer rebinds by name)
 )
 
 __all__ = [
@@ -75,6 +74,9 @@ __all__ = [
 ]
 
 CLASSIFY_TOL = 1e-7
+HNKS_TOL = 1e-7  # smallest ||H||-relative distance from the Kraus span that counts as HNKS
+RGNKS_TOL = 1e-9  # largest |Tr(G X)|, |Tr(G Y)| at which a generator counts as proportional to Z
+UNITAL_TOL = 1e-8  # largest unitality witness at which a channel counts as unital
 _EDGE_GUARD = 1e-3  # fraction of tol treated as "too close to call" at the band edge
 
 
@@ -123,14 +125,20 @@ class KrausPair:
 
 @dataclass(frozen=True, init=False)
 class OneParamChannel:
-    """A differentiable one-parameter channel given by Kraus pairs at theta=0."""
+    """A differentiable one-parameter channel given by Kraus pairs at theta=0.
+
+    ``k_ops`` and ``dk_ops`` are the pairs stacked once into read-only r x d x d arrays.
+    """
 
     kraus: tuple
 
     def __init__(self, kraus):
         pairs = tuple(p if isinstance(p, KrausPair) else KrausPair(*p) for p in kraus)
         # built once: its constructor is the trace-preservation check
-        object.__setattr__(self, "_kraus_set", KrausSet([p.k for p in pairs]))
+        ks = KrausSet([p.k for p in pairs])
+        object.__setattr__(self, "_kraus_set", ks)
+        object.__setattr__(self, "k_ops", _read_only(np.array(ks.ops)))
+        object.__setattr__(self, "dk_ops", _read_only(np.array([p.dk for p in pairs])))
         first_order = sum(p.dk.conj().T @ p.k + p.k.conj().T @ p.dk for p in pairs)
         if np.linalg.norm(first_order) > 1e-9:
             raise ValidationError("family breaks trace preservation at first order (residual > 1e-9)")
@@ -325,25 +333,25 @@ def _span_lstsq(k_ops: np.ndarray, y: np.ndarray, cut: float):
     return _herm_lstsq(np.tensordot(_herm_basis(len(k_ops)), gram, 2), y, cut)
 
 
-def hnks_check(ch: OneParamChannel, tol: float = 1e-7) -> HnksResult:
+def hnks_check(ch: OneParamChannel) -> HnksResult:
     """Test whether the Hamiltonian leaves the Kraus span (HNKS condition).
 
     ``residual`` is the Frobenius distance ``min_h ||H - sum_ij h_ij K_i^dag K_j||``
     over Hermitian ``h``, the least squares cutting span directions below 1e-10 of
-    the largest.  ``holds`` is True iff it exceeds ``tol * ||H||``; a vanishing
-    Hamiltonian never satisfies the condition.
+    the largest.  ``holds`` is True iff it exceeds ``HNKS_TOL * ||H||``; a
+    vanishing Hamiltonian never satisfies the condition.
     """
     h = ch.hamiltonian()
-    residual = math.sqrt(_span_lstsq(np.array([p.k for p in ch.kraus]), -h, 1e-10)[0])
+    residual = math.sqrt(_span_lstsq(ch.k_ops, -h, 1e-10)[0])
     h_norm = float(np.linalg.norm(h))
-    holds = h_norm > 1e-14 and residual > tol * h_norm
+    holds = h_norm > 1e-14 and residual > HNKS_TOL * h_norm
     return HnksResult(holds=holds, hamiltonian=h, residual=residual)
 
 
-def rgnks_check(fam: DephasingFamily, tol: float = 1e-9) -> bool:
-    """RGNKS on the supplied (G0, G1) parametrization: some generator has an X or Y part."""
+def rgnks_check(fam: DephasingFamily) -> bool:
+    """RGNKS on the supplied (G0, G1): ``|Tr(G X)|`` or ``|Tr(G Y)|`` of some generator exceeds ``RGNKS_TOL``."""
     transverse = [pauli_decompose(g)[1:3] for g in (fam.g0, fam.g1)]  # Tr(G X), Tr(G Y)
-    return bool(np.abs(transverse).max() > tol)
+    return bool(np.abs(transverse).max() > RGNKS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +364,7 @@ def _pauli_rows(ks: KrausSet) -> np.ndarray:
     return np.einsum("kab,jba->kj", ks.ops, PAULIS) / 2.0
 
 
-def canonical_pauli_form(ks: KrausSet, tol: float = 1e-12) -> CanonicalPauliForm:
+def canonical_pauli_form(ks: KrausSet) -> CanonicalPauliForm:
     """Bring the Pauli coefficient matrix to the block form ``[[m00, m^dag], [0, frak_m]]``.
 
     The channel only enters through its process matrix ``chi = M^dag M``;
@@ -369,7 +377,7 @@ def canonical_pauli_form(ks: KrausSet, tol: float = 1e-12) -> CanonicalPauliForm
     m_rows = _pauli_rows(ks)
     chi = m_rows.conj().T @ m_rows
     m00 = float(np.sqrt(max(chi[0, 0].real, 0.0)))
-    if m00 > tol:
+    if m00 > 1e-12:
         m = chi[1:, 0] / m00
     else:
         m00 = 0.0
@@ -380,9 +388,7 @@ def canonical_pauli_form(ks: KrausSet, tol: float = 1e-12) -> CanonicalPauliForm
     return CanonicalPauliForm(m00=m00, m=m, frak_m=frak_m)
 
 
-def solve_h_annihilating(
-    ks: KrausSet, h_target: np.ndarray, unital_tol: float = 1e-8
-) -> AnnihilatingGauge:
+def solve_h_annihilating(ks: KrausSet, h_target: np.ndarray) -> AnnihilatingGauge:
     """Hermitian ``h`` with ``H + sum_ij h_ij K_i^dag K_j = 0`` for a non-unital channel.
 
     Works on the canonical Pauli-basis Kraus set, whose products span every
@@ -390,12 +396,12 @@ def solve_h_annihilating(
     minimum-norm least-squares solution in ``_herm_basis`` coordinates: among
     all solutions it minimises ``sum_i h_ii^2 + sum_{i<j} |h_ij|^2``.
     ``residual``, the operator 2-norm of ``H + sum_ij h_ij K_i^dag K_j``, is
-    its certificate.  Unital channels admit no such guarantee and raise
-    :class:`NotApplicableError`.
+    its certificate.  Unital channels, whose unitality witness is below
+    ``UNITAL_TOL``, admit no such guarantee and raise :class:`NotApplicableError`.
     """
     h_target = require_hermitian(h_target, name="H")
     form = canonical_pauli_form(ks)
-    if form.unitality_witness < unital_tol:
+    if form.unitality_witness < UNITAL_TOL:
         raise NotApplicableError(
             "channel is unital within tolerance; the annihilating gauge is not guaranteed"
         )

@@ -1,6 +1,7 @@
 """Configuration-driven command line front end.
 
 Subcommands: ``classify``, ``qfi``, ``bound``, ``sweep``, ``figure2``.
+``sweep`` and ``figure2`` read one protocol table, ``kind -> value(cfg, n)``.
 Configurations are flat key-value text files with dotted section prefixes
 (``family.p = 0.1``).  Every key is declared once in ``_KEYS`` with its
 reader, default and writer; :func:`parse_config` and :func:`serialize_config`
@@ -47,8 +48,7 @@ __all__ = [
     "main",
 ]
 
-MAX_N_VALUES = 10**6  # longest 'n = lo..hi' range, and largest n 'bound' runs
-PROTOCOLS = ("sql", "spam", "repeated", "qec", "no_control")
+MAX_N_VALUES = 10**6  # longest 'n = lo..hi' range, and largest n 'bound' and 'figure2' run
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
 _EXIT_DOMAIN = 4
@@ -72,6 +72,26 @@ class ExperimentConfig:
     variant: str
     n_values: tuple
     out: str | None
+
+
+def _no_control(cfg: ExperimentConfig, n: int) -> float:
+    """The control-free, measurement-free protocol from ``(0, 0, z0)``."""
+    start = BlochState(np.array([0.0, 0.0, cfg.z0]), np.zeros(3))
+    identity = protocols.ControlSequence.identity()
+    return protocols.simulate_sequence(cfg.family, identity, start, n).qfi_or_fi
+
+
+# protocol kind -> the value of one row at n, read by both 'sweep' and 'figure2'
+_PROTOCOL_VALUE = {
+    "sql": lambda cfg, n: protocols.sql_protocol(
+        cfg.family, n, cfg.w, variant=cfg.variant, z0=cfg.z0
+    ).qfi_or_fi,
+    "spam": lambda cfg, n: protocols.spam_fi(cfg.family, n, cfg.w, cfg.q, variant=cfg.variant),
+    "repeated": lambda cfg, n: protocols.repeated_measurement(cfg.family, n, cfg.interval).qfi_or_fi,
+    "qec": lambda cfg, n: protocols.qec_repetition_sim(cfg.family.p, n).qfi_or_fi,
+    "no_control": _no_control,
+}
+PROTOCOLS = tuple(_PROTOCOL_VALUE)
 
 
 def _fmt(x) -> str:
@@ -322,24 +342,6 @@ def cmd_bound(cfg: ExperimentConfig, out=None) -> int:
     return 0
 
 
-def _sweep_value(cfg: ExperimentConfig, protocol: str, n: int) -> float:
-    fam = cfg.family
-    if protocol == "sql":
-        return protocols.sql_protocol(fam, n, cfg.w, variant=cfg.variant, z0=cfg.z0).qfi_or_fi
-    if protocol == "spam":
-        return protocols.spam_fi(fam, n, cfg.w, cfg.q, variant=cfg.variant)
-    if protocol == "repeated":
-        return protocols.repeated_measurement(fam, n, cfg.interval).qfi_or_fi
-    if protocol == "qec":
-        return protocols.qec_repetition_sim(fam.p, n).qfi_or_fi
-    if protocol == "no_control":
-        start = BlochState(np.array([0.0, 0.0, cfg.z0]), np.zeros(3))
-        return protocols.simulate_sequence(
-            fam, protocols.ControlSequence.identity(), start, n
-        ).qfi_or_fi
-    raise ConfigError(f"unknown protocol {protocol!r}")
-
-
 def cmd_sweep(cfg: ExperimentConfig, out=None) -> int:
     """One CSV row per (protocol, n), computed in order."""
     if cfg.family is None:
@@ -347,10 +349,8 @@ def cmd_sweep(cfg: ExperimentConfig, out=None) -> int:
     if cfg.protocol is None:
         raise ConfigError("sweep needs protocol.kind")
     fixed = ",".join([_fmt(cfg.family.p), _fmt(cfg.w), _fmt(cfg.q), str(cfg.interval)])
-    rows = [
-        f"{cfg.protocol},{n},{fixed},{_fmt(_sweep_value(cfg, cfg.protocol, n))}\n"
-        for n in cfg.n_values
-    ]
+    value = _PROTOCOL_VALUE[cfg.protocol]
+    rows = [f"{cfg.protocol},{n},{fixed},{_fmt(value(cfg, n))}\n" for n in cfg.n_values]
     _emit("protocol,n,p,w,q,interval,value\n" + "".join(rows), cfg.out, out)
     return 0
 
@@ -365,27 +365,20 @@ def cmd_figure2(
 ) -> int:
     """Desk-scale reproduction of the strategy-comparison figure.
 
-    Emits one row per n with one column per curve: the analytic QEC
-    Heisenberg scaling, the unitary-control protocol at each SPAM rate, the
-    repeated-measurement protocol (interval 6), and the control-free
-    constant-QFI baseline.
+    Emits one row per n = 1..n_max with one column per curve: the analytic
+    QEC Heisenberg scaling, then the protocol table's ``spam`` at each SPAM
+    rate, ``repeated`` (interval 6) and ``no_control``, all on
+    ``x_rotation_dephasing(p)`` from the pole.  An ``n_max`` below 0 or
+    above ``MAX_N_VALUES`` raises :class:`ConfigError`.
     """
-    fam = channel_model.x_rotation_dephasing(p)
+    if not 0 <= n_max <= MAX_N_VALUES:
+        raise ConfigError(f"figure2: --n-max {n_max} is outside 0..{MAX_N_VALUES}")
+    cfg = ExperimentConfig(
+        family=channel_model.x_rotation_dephasing(p), ptm=None, protocol=None,
+        w=w, z0=1.0, q=0.0, interval=6, variant="g0x", n_values=(), out=None,
+    )
+    columns = [(replace(cfg, q=q), "spam") for q in q_list] + [(cfg, "repeated"), (cfg, "no_control")]
     labels = ["qec_analytic"] + [f"sql_q{q:g}" for q in q_list] + ["repeated_measurement", "no_control"]
-
-    pole = BlochState(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-
-    def row_for(n: int):
-        vals = [protocols.qec_analytic(p, n)]
-        for q in q_list:
-            vals.append(protocols.spam_fi(fam, n, w, q))
-        vals.append(protocols.repeated_measurement(fam, n, 6).qfi_or_fi)
-        vals.append(
-            protocols.simulate_sequence(
-                fam, protocols.ControlSequence.identity(), pole, n
-            ).qfi_or_fi
-        )
-        return vals
 
     lines = [
         "# strategy comparison at p = %s, w = %s; one column per curve\n" % (_fmt(p), _fmt(w)),
@@ -393,7 +386,8 @@ def cmd_figure2(
         "n," + ",".join(labels) + "\n",
     ]
     for n in range(1, n_max + 1):
-        lines.append(str(n) + "," + ",".join(_fmt(v) for v in row_for(n)) + "\n")
+        row = [protocols.qec_analytic(p, n)] + [_PROTOCOL_VALUE[k](c, n) for c, k in columns]
+        lines.append(str(n) + "," + ",".join(map(_fmt, row)) + "\n")
     _emit("".join(lines), out_path, out)
     return 0
 
@@ -462,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--p", default="0.1")
     fig.add_argument("--w", default="0.01")
     fig.add_argument("--q", action="append", default=None)
-    fig.add_argument("--n-max", type=int, default=200)
+    fig.add_argument("--n-max", default="200")
     return parser
 
 
@@ -475,7 +469,8 @@ def main(argv=None) -> int:
                 number = _numbers(1)
                 q_list = tuple(number("--q", q) for q in args.q) if args.q else (0.0, 0.001, 0.02)
                 p, w = number("--p", args.p), number("--w", args.w)
-                return cmd_figure2(p=p, w=w, q_list=q_list, n_max=args.n_max, out_path=args.out)
+                n_max = _integer("--n-max", args.n_max)
+                return cmd_figure2(p=p, w=w, q_list=q_list, n_max=n_max, out_path=args.out)
             cfg = _load_config(args.config)
             if args.out is not None:
                 cfg = replace(cfg, out=args.out)

@@ -41,8 +41,8 @@ from .qubit_core import (
     _herm_basis,
     _herm_lstsq,
     _overflow_is_domain_error,
-    pauli_sandwich,
     ptm_derivative_from_kraus,
+    ptm_from_kraus,
     require_hermitian,
 )
 
@@ -268,9 +268,14 @@ NEWTON_STEPS = 30  # most Newton steps from one start
 NEAR_PURE = 1e-9  # Newton runs stop short of outputs with 0 < 1 - |w|^2 < NEAR_PURE
 
 
+def _gauged_derivatives(k_ops: np.ndarray, dk_ops: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The gauged Kraus derivatives ``B_j(h) = dK_j - i sum_i h_ji K_i``, stacked."""
+    return dk_ops - 1j * np.einsum("ji,iab->jab", h, k_ops)
+
+
 def _alpha(k_ops: np.ndarray, dk_ops: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``alpha(h) = sum_j B_j(h)^dag B_j(h)`` with ``B_j(h) = dK_j - i sum_i h_ji K_i``."""
-    b = dk_ops - 1j * np.einsum("ji,iab->jab", h, k_ops)
+    """``alpha(h) = sum_j B_j(h)^dag B_j(h)`` (see :func:`_gauged_derivatives`)."""
+    b = _gauged_derivatives(k_ops, dk_ops, h)
     return np.einsum("jab,jac->bc", b.conj(), b)
 
 
@@ -284,10 +289,6 @@ def _inner_min(k_ops: np.ndarray, dk_ops: np.ndarray, s: np.ndarray):
     images = -1j * np.einsum("pji,iam->pjam", basis, k_ops @ s)
     resid, h, _ = _herm_lstsq(images, dk_ops @ s, 1e-12)
     return resid, h
-
-
-def _kraus_arrays(ch: OneParamChannel):
-    return np.array([p.k for p in ch.kraus]), np.array([p.dk for p in ch.kraus])
 
 
 @_overflow_is_domain_error
@@ -306,7 +307,7 @@ def channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
     QFI lies in ``[value - gap, value]``.  Raises :class:`ConvergenceError`
     when ``gap > GAP_RTOL * value``, :class:`DomainError` when it overflows.
     """
-    k_ops, dk_ops = _kraus_arrays(ch)
+    k_ops, dk_ops = ch.k_ops, ch.dk_ops
     d = ch.dim
     floor = np.sqrt(INPUT_FLOOR / d) * np.eye(d)
 
@@ -430,12 +431,11 @@ def channel_qfi_no_ancilla(ch: OneParamChannel) -> float:
     pure-output inputs, and the top eigenvectors of ``dT^T dT`` (when every output is pure).
     Raises :class:`DomainError` when the QFI overflows.
     """
-    k_ops, dk_ops = _kraus_arrays(ch)
-    m = pauli_sandwich(k_ops, k_ops).real / 2.0
-    t, T = m[1:, 0], m[1:, 1:]
-    dt, dT = ptm_derivative_from_kraus(zip(k_ops, dk_ops))
+    ptm = ptm_from_kraus(ch.kraus_set())
+    t, T = ptm.t, ptm.T
+    dt, dT = ptm_derivative_from_kraus(zip(ch.k_ops, ch.dk_ops))
     top = np.linalg.eigh(dT.T @ dT)[1][:, -1]
-    candidates = np.vstack([_pure_output_inputs(k_ops), top, -top])
+    candidates = np.vstack([_pure_output_inputs(ch.k_ops), top, -top])
     grid = _output_qfi(_SPHERE, t, T, dt, dT)[0]
     runs = [_newton_ascent(_SPHERE[i], t, T, dt, dT) for i in np.argsort(grid)[-NEWTON_STARTS:]]
     return float(max(grid.max(), _output_qfi(candidates, t, T, dt, dT)[0].max(), *runs))

@@ -48,7 +48,7 @@ from .qubit_core import (
     DomainError,
     PauliTransferMap,
     ValidationError,
-    pauli_decompose,  # noqa: F401  (an import site the benchmark tracer rebinds by name)
+    _overflow_is_domain_error,
     ptm_derivative_from_kraus,
     ptm_from_kraus,
     require_cptp,
@@ -150,7 +150,7 @@ class BlochKernel:
     @staticmethod
     def from_channel(ch: OneParamChannel) -> "BlochKernel":
         ptm = ptm_from_kraus(ch.kraus_set())
-        dt, dT = ptm_derivative_from_kraus((p.k, p.dk) for p in ch.kraus)
+        dt, dT = ptm_derivative_from_kraus(zip(ch.k_ops, ch.dk_ops))
         return BlochKernel(ptm.t, ptm.T, dt, dT)
 
     def lifted(self) -> np.ndarray:
@@ -197,8 +197,6 @@ def _kernel_of(fam) -> BlochKernel:
         return BlochKernel.from_family(fam)
     if isinstance(fam, OneParamChannel):
         return BlochKernel.from_channel(fam)
-    if isinstance(fam, BlochKernel):
-        return fam
     raise ValidationError(f"unsupported channel description: {type(fam).__name__}")
 
 
@@ -277,12 +275,7 @@ def sql_control_ptm(variant: str, phi: float) -> PauliTransferMap:
 
 
 def sql_protocol(
-    fam: DephasingFamily,
-    n: int,
-    w: float,
-    variant: str = "g0x",
-    z0: float = 1.0,
-    v0: BlochState | None = None,
+    fam: DephasingFamily, n: int, w: float, variant: str = "g0x", z0: float = 1.0
 ) -> ProtocolResult:
     """Constant-unitary-control protocol achieving the SQL when RGNKS holds.
 
@@ -294,8 +287,7 @@ def sql_protocol(
         raise DomainError("n must be at least 1")
     _sql_trace(fam, variant, w, z0)
     control = ControlSequence(sql_control_ptm(variant, np.sqrt(w / n)))
-    start = v0 if v0 is not None else BlochState(np.array([0.0, 0.0, z0]), np.zeros(3))
-    result = simulate_sequence(fam, control, start, n)
+    result = simulate_sequence(fam, control, BlochState(np.array([0.0, 0.0, z0]), np.zeros(3)), n)
     return ProtocolResult(
         n=result.n,
         qfi_or_fi=result.qfi_or_fi,
@@ -304,20 +296,24 @@ def sql_protocol(
     )
 
 
+@_overflow_is_domain_error
 def sql_asymptotic(fam: DephasingFamily, w: float, variant: str = "g0x", z0: float = 1.0) -> float:
     """Leading QFI-per-step coefficient of the unitary-control protocol.
 
     For the G0 variants:
     ``((1-p)^2/p^2) w / (z0^{-2} e^{(1-p) w / p} - 1) Tr(G0 A)^2``;
-    for the G1 variants the roles of ``p`` and ``1-p`` swap.
+    for the G1 variants the roles of ``p`` and ``1-p`` swap.  ``1 / (e^a - 1)``
+    is evaluated as ``e^{-a} / (1 - e^{-a})``, which goes to 0 at large ``w``
+    instead of overflowing; :class:`DomainError` when the coefficient overflows.
     """
     tr = _sql_trace(fam, variant, w, z0)
-    p = fam.p
+    p = np.float64(fam.p)  # numpy scalars obey the error state; Python floats do not
     if variant.startswith("g0"):
         ratio, expo = (1.0 - p) / p, (1.0 - p) * w / p
     else:
         ratio, expo = p / (1.0 - p), p * w / (1.0 - p)
-    return float(ratio**2 * w / (np.exp(expo) / z0**2 - 1.0) * tr * tr)
+    a = expo - 2.0 * np.log(z0)
+    return float(ratio**2 * w * (np.exp(-a) / -np.expm1(-a)) * tr * tr)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +321,8 @@ def sql_asymptotic(fam: DephasingFamily, w: float, variant: str = "g0x", z0: flo
 # ---------------------------------------------------------------------------
 
 
-def repeated_measurement(
-    fam: DephasingFamily, n: int, interval: int, v0: BlochState | None = None
-) -> ProtocolResult:
-    """Reset-and-measure protocol: optimal measurement every ``interval`` steps.
+def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> ProtocolResult:
+    """Reset-and-measure protocol: optimal measurement every ``interval`` steps from ``(0, 0, 1)``.
 
     The FI is the number of completed intervals times the QFI accumulated in
     one interval; remainder steps are dropped and recorded in the metadata.
@@ -337,8 +331,8 @@ def repeated_measurement(
         raise DomainError("interval must be at least 1")
     if n < 0:
         raise DomainError("n must be nonnegative")
-    start = v0 if v0 is not None else BlochState(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-    per_interval = simulate_sequence(fam, ControlSequence.identity(), start, interval)
+    pole = BlochState(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    per_interval = simulate_sequence(fam, ControlSequence.identity(), pole, interval)
     blocks = n // interval
     return ProtocolResult(
         n=n,
@@ -442,12 +436,15 @@ def qec_analytic(p: float, n: int) -> float:
     return 4.0 * (1.0 - 2.0 * p) ** 2 * n * n
 
 
+@_overflow_is_domain_error
 def no_control_fixed_point(fam: DephasingFamily, z0: float = 1.0) -> float:
     """Large-n QFI constant of the control-free, measurement-free protocol.
 
     From ``v = (0, 0, z0)`` the transverse derivative converges to the fixed
     point of ``dv -> d + (1-2p) dv``, giving
-    ``z0^2 (Tr(G- X)^2 + Tr(G- Y)^2) / (4 p^2)``.
+    ``z0^2 (Tr(G- X)^2 + Tr(G- Y)^2) / (4 p^2)``.  Raises :class:`DomainError`
+    when it overflows.
     """
     _, tx, ty, _ = fam.g_minus_coords
-    return float(z0 * z0 * (tx * tx + ty * ty) / (4.0 * fam.p * fam.p))
+    p = np.float64(fam.p)
+    return float(z0 * z0 * (tx * tx + ty * ty) / (4.0 * p * p))

@@ -84,12 +84,12 @@ class DomainError(ValueError):
 
 
 def _overflow_is_domain_error(fn):
-    """``fn`` with numpy overflow raising :class:`DomainError` instead of returning inf or nan."""
+    """``fn`` with numpy overflow or division by zero raising :class:`DomainError`, not inf or nan."""
 
     @wraps(fn)
     def run(*args, **kwargs):
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return fn(*args, **kwargs)
         except FloatingPointError as exc:
             raise DomainError(f"{exc} in {fn.__name__}: the inputs overflow") from exc
@@ -424,18 +424,14 @@ def require_cptp(ptm: PauliTransferMap) -> None:
         )
 
 
-def kraus_from_choi(choi: np.ndarray, tol: float = 1e-12) -> KrausSet:
-    """Kraus operators from a PSD Choi matrix via eigendecomposition."""
+def kraus_from_choi(choi: np.ndarray) -> KrausSet:
+    """Kraus operators from a PSD Choi matrix via eigendecomposition, dropping eigenvalues <= 1e-12."""
     choi = require_hermitian(choi, atol=1e-10, name="Choi matrix")
     d = int(round(math.sqrt(choi.shape[0])))
     lam, vecs = np.linalg.eigh(choi)
     if lam.min() < -PSD_ATOL:
         raise ValidationError(f"Choi matrix is not PSD (min eigenvalue {lam.min():.3e})")
-    ops = []
-    for val, vec in zip(lam, vecs.T):
-        if val > tol:
-            ops.append(np.sqrt(val) * vec.reshape(d, d))
-    return KrausSet(ops)
+    return KrausSet([np.sqrt(v) * vec.reshape(d, d) for v, vec in zip(lam, vecs.T) if v > 1e-12])
 
 
 def kraus_from_ptm(ptm: PauliTransferMap) -> KrausSet:
@@ -470,8 +466,8 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return ptm_from_kraus(KrausSet([u])).T
 
 
-def random_unital_ptm(rng: np.random.Generator, mix: int = 2) -> PauliTransferMap:
-    """Random unital qubit channel as a convex mixture of ``mix`` rotations."""
-    weights = rng.dirichlet(np.ones(mix))
+def random_unital_ptm(rng: np.random.Generator) -> PauliTransferMap:
+    """Random unital qubit channel as a convex mixture of two rotations."""
+    weights = rng.dirichlet(np.ones(2))
     T = sum(w * random_rotation(rng) for w in weights)
     return PauliTransferMap(np.zeros(3), T, validated=True)

@@ -45,6 +45,17 @@ from qmetro.qubit_core import (
 IDENT = PauliTransferMap.identity()
 
 
+def loop_gauged_pairs(ch, gauge):
+    """Oracle: ``dK~_i = dK_i - i sum_j h_ij K_j`` one Kraus index at a time."""
+    h = gauge.h
+    ks = [p.k for p in ch.kraus]
+    out = []
+    for i, pair in enumerate(ch.kraus):
+        dk = pair.dk - 1j * sum(h[i, j] * ks[j] for j in range(len(ks)))
+        out.append((pair.k, dk))
+    return out
+
+
 def identity_steps(fam, n):
     g = unital_gauge(fam)
     return [ExtensionStep(IDENT, g)] * n
@@ -476,3 +487,47 @@ class TestBoundedAncilla:
         assert bounded_ancilla_multiplier(3) == 8.0
         with pytest.raises(DomainError):
             bounded_ancilla_multiplier(-1)
+
+
+class TestGaugedPairs:
+    def test_bit_identical_to_loop_on_dephasing_families(self, rng):
+        for _ in range(200):
+            fam = random_dephasing_family(rng)
+            ch, gauge = dephasing_channel(fam), unital_gauge(fam)
+            for (k, dk), (k_ref, dk_ref) in zip(gauged_pairs(ch, gauge), loop_gauged_pairs(ch, gauge)):
+                assert np.array_equal(k, k_ref) and np.array_equal(dk, dk_ref)
+
+    def test_matches_loop_on_stinespring_channels(self, rng):
+        for env in (1, 2, 3, 4):
+            for _ in range(25):
+                ch = random_one_param_channel(rng, env=env)
+                a = rng.normal(size=(env, env)) + 1j * rng.normal(size=(env, env))
+                gauge = GaugeMatrix((a + a.conj().T) / 2.0)
+                got, want = gauged_pairs(ch, gauge), loop_gauged_pairs(ch, gauge)
+                assert len(got) == len(want) == env
+                for (k, dk), (k_ref, dk_ref) in zip(got, want):
+                    assert np.array_equal(k, k_ref)
+                    assert np.abs(dk - dk_ref).max() <= 1e-15 * np.abs(dk_ref).max()
+
+    def test_wrong_shape_gauge_rejected(self):
+        ch = dephasing_channel(x_rotation_dephasing(0.1))
+        with pytest.raises(ValidationError, match=r"gauge must be 2x2 for this channel, got \(3, 3\)"):
+            gauged_pairs(ch, GaugeMatrix(np.zeros((3, 3))))
+
+
+class TestCeilingOverflow:
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            DephasingFamily(0.3, 0.0, 1e155 * Z, np.zeros((2, 2))),
+            DephasingFamily(1e-200, 0.0, Z, np.zeros((2, 2))),
+            DephasingFamily(0.3, 1e200, Z, np.zeros((2, 2))),
+        ],
+        ids=["huge_generator", "tiny_p", "huge_pdot"],
+    )
+    def test_rgnks_violated_bound_raises_domain_error(self, fam):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError):
+                rgnks_violated_bound(fam)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -110,6 +110,25 @@ class TestDephasingChannel:
             assert np.allclose(back.g1, fam.g1)
 
 
+class TestStackedKraus:
+    def test_arrays_equal_stacked_pairs(self, rng):
+        channels = [random_one_param_channel(rng, env=env) for env in (1, 2, 4)]
+        channels.append(dephasing_channel(random_dephasing_family(rng)))
+        for ch in channels:
+            assert np.array_equal(ch.k_ops, np.array([p.k for p in ch.kraus]))
+            assert np.array_equal(ch.dk_ops, np.array([p.dk for p in ch.kraus]))
+            assert ch.k_ops.shape == (len(ch.kraus), ch.dim, ch.dim) == ch.dk_ops.shape
+
+    def test_arrays_are_read_only(self):
+        ch = dephasing_channel(x_rotation_dephasing(0.1))
+        for name in ("k_ops", "dk_ops"):
+            with pytest.raises(ValueError):
+                getattr(ch, name)[0, 0, 0] = 2.0
+            with pytest.raises(AttributeError):
+                setattr(ch, name, np.zeros((2, 2, 2)))
+        assert np.allclose(ch.k_ops[0], np.sqrt(0.9) * I2)
+
+
 class TestKrausPair:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):

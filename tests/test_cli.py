@@ -153,6 +153,34 @@ class TestFigure2Command:
         first = lines[1].split(",")
         assert float(first[2]) > float(first[1])
 
+    def test_columns_equal_sweep_values(self, tmp_path):
+        fig = tmp_path / "fig2.csv"
+        argv = ["figure2", "--n-max", "40", "--p", "0.17", "--w", "0.02", "--q", "0.01", "--out", str(fig)]
+        assert main(argv) == 0
+        rows = [l.split(",") for l in fig.read_text().splitlines() if not l.startswith("#")]
+        columns = dict(zip(rows[0], zip(*rows[1:])))
+        assert columns["n"] == tuple(str(n) for n in range(1, 41))
+        family = "family.p = 0.17\nfamily.g0 = 1 0 0\nfamily.g1 = -1 0 0\nprotocol.w = 0.02\n"
+        for label, kind in [("sql_q0.01", "spam"), ("repeated_measurement", "repeated"), ("no_control", "no_control")]:
+            out = tmp_path / f"{kind}.csv"
+            cfg = family + f"protocol.kind = {kind}\nprotocol.q = 0.01\nprotocol.interval = 6\nn = 1..40\nout = {out}\n"
+            assert cmd_sweep(parse_config(cfg)) == 0
+            sweep = [l.split(",") for l in out.read_text().splitlines()[1:]]
+            assert columns[label] == tuple(r[-1] for r in sweep), label
+
+    @pytest.mark.parametrize("n_max", ["-3", str(10**6 + 1), "abc", "2.5"])
+    def test_n_max_out_of_range_is_2(self, tmp_path, capsys, n_max):
+        out = tmp_path / "fig2.csv"
+        assert main(["figure2", "--n-max", n_max, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:config:")
+        assert not out.exists()
+
+    def test_n_max_zero_writes_header_only(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        assert main(["figure2", "--n-max", "0", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3 and lines[2].startswith("n,qec_analytic,")
+
 
 class TestExitCodes:
     def test_ok(self, tmp_path):

@@ -25,7 +25,6 @@ from qmetro.fisher_info import (
     _alpha,
     _herm_basis,
     _inner_min,
-    _kraus_arrays,
     bures_distance,
     channel_qfi_ancilla,
     channel_qfi_no_ancilla,
@@ -77,7 +76,7 @@ def sphere_grid_oracle(ch):
     The outer supremum runs over a 400-point Fibonacci grid of (theta, phi)
     angles, followed by Nelder-Mead from the best 3 grid points.
     """
-    k_ops, dk_ops = _kraus_arrays(ch)
+    k_ops, dk_ops = ch.k_ops, ch.dk_ops
 
     def neg_obj(angles):
         th, ph = angles
@@ -284,7 +283,7 @@ class TestChannelQfiAncilla:
 
     def test_objective_convex_along_segments(self, rng):
         ch = random_one_param_channel(rng, env=2)
-        k_ops, dk_ops = _kraus_arrays(ch)
+        k_ops, dk_ops = ch.k_ops, ch.dk_ops
         basis = _herm_basis(len(k_ops))
 
         def value(x):
@@ -299,7 +298,7 @@ class TestChannelQfiAncilla:
 
     def test_inner_min_concave_along_segments(self, rng):
         ch = random_one_param_channel(rng, env=2)
-        k_ops, dk_ops = _kraus_arrays(ch)
+        k_ops, dk_ops = ch.k_ops, ch.dk_ops
 
         def value(s):
             return _inner_min(k_ops, dk_ops, s)[0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -452,3 +454,30 @@ class TestCeilings:
             steps = [ExtensionStep(control, unital_gauge(fam))] * n
             total = extension_bound(fam, steps).total
             assert sql_protocol(fam, n, 0.01).qfi_or_fi <= total + 1e-9
+
+
+class TestClosedFormOverflow:
+    @pytest.mark.parametrize(
+        "call, fam",
+        [
+            (no_control_fixed_point, DephasingFamily(0.3, 0.0, 1e155 * X, ZERO)),
+            (lambda fam: sql_asymptotic(fam, 0.01), DephasingFamily(0.3, 0.0, 1e155 * X, ZERO)),
+            (no_control_fixed_point, DephasingFamily(1e-200, 0.0, X, ZERO)),
+            (lambda fam: sql_asymptotic(fam, 0.01), DephasingFamily(1e-200, 0.0, X, ZERO)),
+        ],
+        ids=["fixed_point_huge", "sql_huge", "fixed_point_tiny_p", "sql_tiny_p"],
+    )
+    def test_raises_domain_error_without_warning(self, call, fam):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError):
+                call(fam)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("w", [79.0, 1000.0])
+    def test_large_w_is_finite(self, w):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = sql_asymptotic(x_rotation_dephasing(0.1), w)
+        assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
+        assert np.isfinite(value) and value >= 0.0
