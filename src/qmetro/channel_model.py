@@ -198,6 +198,19 @@ class DephasingFamily:
         """Pauli coordinates ``Tr(G- sigma_j)``, computed once, read-only."""
         return _read_only(pauli_decompose(self.g_minus))
 
+    @cached_property
+    def transfer_matrix(self) -> np.ndarray:
+        """The 7x7 map ``[[T, 0, 0], [dT, T, 0], [0, 0, 1]]`` of one use on ``(v, dv, 1)`` at
+        theta = 0, computed once, read-only: ``T = diag(1-2p, 1-2p, 1)`` and the drive ``dT``
+        from ``pdot`` and the Pauli coordinates of ``G±``."""
+        _, tx, ty, tz = self.g_minus_coords
+        _, px, py, _ = self.g_plus_coords
+        k = np.zeros((7, 7))
+        k[:3, :3] = k[3:6, 3:6] = np.diag([1.0 - 2.0 * self.p, 1.0 - 2.0 * self.p, 1.0])
+        k[3:6, :3] = [[-2.0 * self.pdot, -tz, ty], [tz, -2.0 * self.pdot, -tx], [-py, px, 0.0]]
+        k[6, 6] = 1.0
+        return _read_only(k)
+
 
 @dataclass(frozen=True)
 class CanonicalPauliForm:

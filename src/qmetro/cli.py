@@ -1,7 +1,9 @@
 """Configuration-driven command line front end.
 
 Subcommands: ``classify``, ``qfi``, ``bound``, ``sweep``, ``figure2``.
-``sweep`` and ``figure2`` read one protocol table, ``kind -> value(cfg, n)``.
+``sweep`` reads one protocol table, ``kind -> values(cfg, ns)``, and computes
+all rows of a sweep in one call to the protocol's rows form; ``figure2`` calls
+the per-n protocols row by row.
 Configurations are flat key-value text files with dotted section prefixes
 (``family.p = 0.1``).  Every key is declared once in ``_KEYS`` with its
 reader, default and writer; :func:`parse_config` and :func:`serialize_config`
@@ -74,22 +76,13 @@ class ExperimentConfig:
     out: str | None
 
 
-def _no_control(cfg: ExperimentConfig, n: int) -> float:
-    """The control-free, measurement-free protocol from ``(0, 0, z0)``."""
-    start = BlochState(np.array([0.0, 0.0, cfg.z0]), np.zeros(3))
-    identity = protocols.ControlSequence.identity()
-    return protocols.simulate_sequence(cfg.family, identity, start, n).qfi_or_fi
-
-
-# protocol kind -> the value of one row at n, read by both 'sweep' and 'figure2'
+# protocol kind -> the values of its rows at the n values ns, read by 'sweep'
 _PROTOCOL_VALUE = {
-    "sql": lambda cfg, n: protocols.sql_protocol(
-        cfg.family, n, cfg.w, variant=cfg.variant, z0=cfg.z0
-    ).qfi_or_fi,
-    "spam": lambda cfg, n: protocols.spam_fi(cfg.family, n, cfg.w, cfg.q, variant=cfg.variant),
-    "repeated": lambda cfg, n: protocols.repeated_measurement(cfg.family, n, cfg.interval).qfi_or_fi,
-    "qec": lambda cfg, n: protocols.qec_repetition_sim(cfg.family.p, n).qfi_or_fi,
-    "no_control": _no_control,
+    "sql": lambda cfg, ns: protocols.sql_protocol_rows(cfg.family, ns, cfg.w, variant=cfg.variant, z0=cfg.z0),
+    "spam": lambda cfg, ns: protocols.spam_fi_rows(cfg.family, ns, cfg.w, cfg.q, variant=cfg.variant),
+    "repeated": lambda cfg, ns: protocols.repeated_measurement_rows(cfg.family, ns, cfg.interval),
+    "qec": lambda cfg, ns: protocols.qec_repetition_rows(cfg.family.p, ns),
+    "no_control": lambda cfg, ns: protocols.no_control_rows(cfg.family, ns, cfg.z0),
 }
 PROTOCOLS = tuple(_PROTOCOL_VALUE)
 
@@ -137,12 +130,15 @@ def _choice(options: tuple):
 
 
 def _n_values(key: str, text: str) -> tuple:
-    """``n = 1 10 100`` or the inclusive range ``n = lo..hi``; empty means no rows."""
+    """``n = 1 10 100`` or the inclusive range ``n = lo..hi`` of step counts, each at least 1;
+    empty means no rows."""
     ends = text.split("..", 1) if ".." in text else None
     try:
         ints = [int(tok) for tok in (ends or text.split())]
     except ValueError:
         raise ConfigError(f"field {key!r}: expected integers or 'lo..hi', got {text!r}") from None
+    if any(n < 1 for n in ints):
+        raise ConfigError(f"field {key!r}: step counts must be at least 1, got {text!r}")
     if ends is None:
         return tuple(ints)
     if ints[1] < ints[0]:
@@ -343,14 +339,14 @@ def cmd_bound(cfg: ExperimentConfig, out=None) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out=None) -> int:
-    """One CSV row per (protocol, n), computed in order."""
+    """One CSV row per (protocol, n), in the order of the n values, all from one rows-form call."""
     if cfg.family is None:
         raise ConfigError("sweep needs a family.* block")
     if cfg.protocol is None:
         raise ConfigError("sweep needs protocol.kind")
     fixed = ",".join([_fmt(cfg.family.p), _fmt(cfg.w), _fmt(cfg.q), str(cfg.interval)])
-    value = _PROTOCOL_VALUE[cfg.protocol]
-    rows = [f"{cfg.protocol},{n},{fixed},{_fmt(value(cfg, n))}\n" for n in cfg.n_values]
+    values = _PROTOCOL_VALUE[cfg.protocol](cfg, cfg.n_values)
+    rows = [f"{cfg.protocol},{n},{fixed},{_fmt(v)}\n" for n, v in zip(cfg.n_values, values)]
     _emit("protocol,n,p,w,q,interval,value\n" + "".join(rows), cfg.out, out)
     return 0
 
@@ -366,18 +362,19 @@ def cmd_figure2(
     """Desk-scale reproduction of the strategy-comparison figure.
 
     Emits one row per n = 1..n_max with one column per curve: the analytic
-    QEC Heisenberg scaling, then the protocol table's ``spam`` at each SPAM
-    rate, ``repeated`` (interval 6) and ``no_control``, all on
-    ``x_rotation_dephasing(p)`` from the pole.  An ``n_max`` below 0 or
-    above ``MAX_N_VALUES`` raises :class:`ConfigError`.
+    QEC Heisenberg scaling, then the per-n protocols behind the ``spam`` rows
+    of ``sweep`` at each SPAM rate, its ``repeated`` rows (interval 6) and its
+    ``no_control`` rows, all on ``x_rotation_dephasing(p)`` from the pole.  An
+    ``n_max`` below 0 or above ``MAX_N_VALUES`` raises :class:`ConfigError`.
     """
     if not 0 <= n_max <= MAX_N_VALUES:
         raise ConfigError(f"figure2: --n-max {n_max} is outside 0..{MAX_N_VALUES}")
-    cfg = ExperimentConfig(
-        family=channel_model.x_rotation_dephasing(p), ptm=None, protocol=None,
-        w=w, z0=1.0, q=0.0, interval=6, variant="g0x", n_values=(), out=None,
-    )
-    columns = [(replace(cfg, q=q), "spam") for q in q_list] + [(cfg, "repeated"), (cfg, "no_control")]
+    fam = channel_model.x_rotation_dephasing(p)
+    pole = BlochState(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    columns = [lambda n, q=q: protocols.spam_fi(fam, n, w, q) for q in q_list] + [
+        lambda n: protocols.repeated_measurement(fam, n, 6).qfi_or_fi,
+        lambda n: protocols.simulate_sequence(fam, protocols.ControlSequence.identity(), pole, n).qfi_or_fi,
+    ]
     labels = ["qec_analytic"] + [f"sql_q{q:g}" for q in q_list] + ["repeated_measurement", "no_control"]
 
     lines = [
@@ -386,7 +383,7 @@ def cmd_figure2(
         "n," + ",".join(labels) + "\n",
     ]
     for n in range(1, n_max + 1):
-        row = [protocols.qec_analytic(p, n)] + [_PROTOCOL_VALUE[k](c, n) for c, k in columns]
+        row = [protocols.qec_analytic(p, n)] + [column(n) for column in columns]
         lines.append(str(n) + "," + ",".join(map(_fmt, row)) + "\n")
     _emit("".join(lines), out_path, out)
     return 0
@@ -436,7 +433,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser, subcommand: bool = False)
         "--out", default=default, help="output file (overrides the config's 'out'); else stdout"
     )
     parser.add_argument(
-        "--threads", type=int, default=default, help="ignored: rows are computed in-line, in order"
+        "--threads", type=int, default=default, help="ignored: every run is single-threaded"
     )
 
 

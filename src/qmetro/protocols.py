@@ -12,23 +12,30 @@ with ``M = diag(1-2p, 1-2p, 1)`` and the drive matrix ``D`` assembled from
 ``z = (v, dv, 1) ∈ R⁷``: a channel with Bloch data ``(t, T; dt, dT)`` lifts
 to the 7x7 matrix ``[[T, 0, t], [dT, T, dt], [0, 0, 1]]`` and a control to
 ``[[T_k, 0, t_k], [0, T_k, 0], [0, 0, 1]]``.  A constant control therefore
-runs ``n`` steps as one matrix power ``(C K)^n z_0`` in O(log n) products,
-carried out on the offset ``C K - I`` so that it rounds no worse than the
-step-by-step loop; per-step controls (and trajectory recording) apply the
-lifted steps one by one.
+runs ``n`` steps as ``(C K)^n z_0``, which :func:`_advance` applies in
+O(log n) products by binary powering on the offset ``C K - I``, so that it
+rounds no worse than the step-by-step loop; per-step controls (and
+trajectory recording) apply the lifted steps one by one.
 
 The QEC protocol propagates the full two-qubit density matrix and its
 derivative through the repetition-code recovery channel.  One step is the
 linear map ``(rho, drho) -> (R D rho, R A D rho + R D drho)`` on row-major
 vectorized 4x4 matrices (``D`` dephasing, ``A`` the generator commutator,
-``R`` the recovery), a 32x32 superoperator that is likewise raised to the
-power ``n``.
+``R`` the recovery), a 32x32 superoperator, linear in ``p``, that
+:func:`_advance` likewise raises to the power ``n``.
+
+Each per-n protocol has a rows form (``*_rows``) that takes a sequence of
+step counts ``ns`` and returns one value per entry.  It builds the steps as
+its per-n sibling does, keeps that sibling's checks and exception types on
+every row, and advances all rows of a block of ``ROWS_PER_BLOCK`` together,
+so each value is bitwise the per-n call's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -59,19 +66,26 @@ __all__ = [
     "ProtocolResult",
     "BlochKernel",
     "simulate_sequence",
+    "no_control_rows",
     "sql_control_ptm",
     "sql_protocol",
+    "sql_protocol_rows",
     "sql_asymptotic",
     "repeated_measurement",
+    "repeated_measurement_rows",
     "spam_fi",
+    "spam_fi_rows",
     "spam_povm",
     "qec_repetition_sim",
+    "qec_repetition_rows",
     "qec_analytic",
     "no_control_fixed_point",
     "SQL_VARIANTS",
+    "ROWS_PER_BLOCK",
 ]
 
 SQL_VARIANTS = ("g0x", "g0y", "g1x", "g1y")
+ROWS_PER_BLOCK = 1024  # rows a rows form advances together; bounds its (N, 7, 7) step stack
 
 
 @dataclass(frozen=True, init=False)
@@ -134,18 +148,8 @@ class BlochKernel:
 
     @staticmethod
     def from_family(fam: DephasingFamily) -> "BlochKernel":
-        p = fam.p
-        m = np.diag([1.0 - 2.0 * p, 1.0 - 2.0 * p, 1.0])
-        _, tx, ty, tz = fam.g_minus_coords
-        _, px, py, _ = fam.g_plus_coords
-        d = np.array(
-            [
-                [-2.0 * fam.pdot, -tz, ty],
-                [tz, -2.0 * fam.pdot, -tx],
-                [-py, px, 0.0],
-            ]
-        )
-        return BlochKernel(np.zeros(3), m, np.zeros(3), d)
+        k = fam.transfer_matrix
+        return BlochKernel(k[:3, 6].copy(), k[:3, :3].copy(), k[3:6, 6].copy(), k[3:6, :3].copy())
 
     @staticmethod
     def from_channel(ch: OneParamChannel) -> "BlochKernel":
@@ -173,31 +177,103 @@ def _lift(t, T, dt=0.0, dT=0.0) -> np.ndarray:
     return s
 
 
-def _power_minus_identity(e: np.ndarray, n: int) -> np.ndarray:
-    """``(I + e)^n - I`` by binary powering carried out on the offset from ``I``.
+def _advance(e: np.ndarray, n, z: np.ndarray) -> np.ndarray:
+    """``(I + e)^n z`` by binary powering carried out on the offset ``e`` from ``I``.
 
-    Squaring ``I + e`` directly rounds each product against the identity, so
-    the error along an eigenvalue near 1 doubles with every squaring and
-    reaches ``n eps``.  ``(I + a)(I + b) - I = a + b + ab`` rounds against
-    ``|a|`` and ``|b|`` instead, which keeps the power as accurate as the
-    step-by-step loop (the QFI of a nearly pure state divides by ``1 - |v|^2``).
+    One run takes an int ``n``, a (d, d) ``e`` and a (d,) ``z``.  Many rows take
+    an int array ``n`` of shape (N,), an ``e`` shared by all rows (d, d) or one
+    per row (N, d, d), and a ``z`` shared (d,) or per row (N, d); they return
+    the (N, d) rows.  Squaring ``I + e`` directly would round each product
+    against the identity, so the error along an eigenvalue near 1 doubles with
+    every squaring and reaches ``n eps``.  ``(I + e)^2 - I = 2e + e e`` rounds
+    against ``|e|`` instead.  Each squared offset is applied to the vector and
+    its image accumulated in the offset ``d = ((I + e)^m - I) z`` of the bits
+    done so far, ``d <- d + e (z + d)``; ``z + d`` is formed once at the end.
+    This keeps the power as accurate as the step-by-step loop (the QFI of a
+    nearly pure state divides by ``1 - |v|^2``).  A row is touched only when
+    its current bit is set, and its ``e`` is squared only while its ``n`` has
+    bits left, so each row does exactly the arithmetic (and meets exactly the
+    floating-point exceptions) of its one-row call.
     """
-    f = np.zeros_like(e)
-    while n:
-        if n & 1:
-            f = f + e + f @ e
-        n >>= 1
-        if n:
+    if np.ndim(n) == 0:
+        d = np.zeros_like(z)
+        while n:
+            if n & 1:
+                d = d + e @ (z + d)
+            n >>= 1
+            if n:
+                e = 2.0 * e + e @ e
+        return z + d
+    n = np.asarray(n)  # object dtype when an n exceeds int64
+    z = np.broadcast_to(z, n.shape + np.shape(z)[-1:])
+    d = np.zeros(z.shape, dtype=np.result_type(e, z))
+    rows = np.flatnonzero(n)  # the rows whose n still has bits left
+    n = n[rows]
+    if e.ndim == 3:
+        e = e[rows]  # aligned with rows
+    while rows.size:
+        odd = (n & 1).astype(bool)
+        if odd.any():
+            r, step = rows[odd], e if e.ndim == 2 else e[odd]
+            d[r] = d[r] + (step @ (z[r] + d[r])[..., None])[..., 0]
+        n = n >> 1
+        more = n != 0
+        rows, n = rows[more], n[more]
+        if rows.size:
+            if e.ndim == 3:
+                e = e[more]
             e = 2.0 * e + e @ e
-    return f
+    return z + d
 
 
-def _kernel_of(fam) -> BlochKernel:
+def _rows_form(per_block):
+    """The rows form ``f(first, ns, ...)`` of ``per_block``, run over ``ns`` in blocks of
+    ``ROWS_PER_BLOCK`` rows; one float per entry of ``ns``, none (and no checks) for none."""
+
+    @wraps(per_block)
+    def rows(first, ns, *args, **kwargs) -> np.ndarray:
+        ns = np.asarray(ns)
+        values = np.empty(len(ns))
+        for lo in range(0, len(ns), ROWS_PER_BLOCK):
+            values[lo : lo + ROWS_PER_BLOCK] = per_block(first, ns[lo : lo + ROWS_PER_BLOCK], *args, **kwargs)
+        return values
+
+    return rows
+
+
+def _lifted_kernel(fam) -> np.ndarray:
+    """The 7x7 map of one channel use on ``(v, dv, 1)``; a family keeps its own."""
     if isinstance(fam, DephasingFamily):
-        return BlochKernel.from_family(fam)
+        return fam.transfer_matrix
     if isinstance(fam, OneParamChannel):
-        return BlochKernel.from_channel(fam)
+        return BlochKernel.from_channel(fam).lifted()
     raise ValidationError(f"unsupported channel description: {type(fam).__name__}")
+
+
+def _step_offsets(fam, shifts, rotations) -> np.ndarray:
+    """Offsets ``C K - I`` of the lifted steps, one per control ``(t_k, T_k)``.
+
+    Formed from the exact offsets of ``C`` and ``K``: ``(I + c)(I + k) - I = c + k + c k``.
+    """
+    eye = np.eye(7)
+    k = _lifted_kernel(fam) - eye
+    c = _lift(np.reshape(shifts, (-1, 3)), np.reshape(rotations, (-1, 3, 3))) - eye
+    return c + k + c @ k
+
+
+def _start(v0: BlochState) -> np.ndarray:
+    return np.concatenate([v0.v, v0.dv, [1.0]])
+
+
+def _axis_state(z0: float) -> BlochState:
+    """The start ``(0, 0, z0)`` with no derivative."""
+    return BlochState(np.array([0.0, 0.0, z0]), np.zeros(3))
+
+
+def _bloch_result(n, z: np.ndarray, trajectory=None) -> ProtocolResult:
+    """The result of a run that ends in ``z = (v, dv, 1)``: its QFI and terminal state."""
+    v, dv = z[:3], z[3:6]
+    return ProtocolResult(n=n, qfi_or_fi=qfi_bloch((v, dv)), terminal=BlochState(v, dv), trajectory=trajectory)
 
 
 def simulate_sequence(
@@ -210,36 +286,44 @@ def simulate_sequence(
     """Propagate (v, dv) through ``n`` channel applications with interleaved controls.
 
     Returns the QFI of the terminal state.  A constant control without
-    trajectory recording costs one 7x7 matrix power; otherwise the lifted
-    steps are applied one at a time.  Each step ``C K`` is held as its
-    offset ``C K - I``, formed from the exact offsets of ``C`` and ``K``.
+    trajectory recording costs one 7x7 binary power; otherwise the lifted
+    steps are applied one at a time.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    kernel = _kernel_of(fam)
-    controls.require_length(n)
-    eye = np.eye(7)
-    k = kernel.lifted() - eye
     maps = controls.maps[: 1 if controls.constant else n]
-    shifts = np.reshape([m.t for m in maps], (-1, 3))
-    c = _lift(shifts, np.reshape([m.T for m in maps], (-1, 3, 3))) - eye
-    steps = c + k + c @ k
-    z = np.concatenate([v0.v, v0.dv, [1.0]])
+    steps = _step_offsets(fam, [m.t for m in maps], [m.T for m in maps])
+    controls.require_length(n)
+    z = _start(v0)
     traj = [z] if record_trajectory else None
     if controls.constant and not record_trajectory:
-        z = z + _power_minus_identity(steps[0], n) @ z
+        z = _advance(steps[0], n, z)
     else:
         for i in range(n):
             z = z + steps[0 if controls.constant else i] @ z
             if traj is not None:
                 traj.append(z)
-    v, dv = z[:3], z[3:6]
-    return ProtocolResult(
-        n=n,
-        qfi_or_fi=qfi_bloch((v, dv)),
-        terminal=BlochState(v, dv),
-        trajectory=None if traj is None else tuple(BlochState(s[:3], s[3:6]) for s in traj),
+    return _bloch_result(
+        n, z, None if traj is None else tuple(BlochState(s[:3], s[3:6]) for s in traj)
     )
+
+
+def _constant_rows(fam, ns, v0: BlochState, shifts, rotations) -> list:
+    """:func:`simulate_sequence`'s results at each n of ``ns`` under a constant control:
+    one ``(t, T)`` for all rows, or one per row (``rotations`` of shape (N, 3, 3))."""
+    if (ns < 0).any():
+        raise DomainError("n must be nonnegative")
+    steps = _step_offsets(fam, shifts, rotations)
+    z = _advance(steps[0] if len(steps) == 1 else steps, ns, _start(v0))
+    return [_bloch_result(n, row) for n, row in zip(ns, z)]
+
+
+@_rows_form
+def no_control_rows(fam, ns, z0: float = 1.0):
+    """The control-free, measurement-free run from ``(0, 0, z0)`` at each n of ``ns``: the QFI of
+    ``simulate_sequence(fam, ControlSequence.identity(), start, n)``."""
+    identity = PauliTransferMap.identity()
+    return [r.qfi_or_fi for r in _constant_rows(fam, ns, _axis_state(z0), identity.t, identity.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +346,19 @@ def _sql_trace(fam: DephasingFamily, variant: str, w: float, z0: float) -> float
     return tr
 
 
+def _sql_rotation(variant: str, phi: float) -> np.ndarray:
+    """Bloch rotation of the control ``exp(-i phi A / 2)``, times Z for the G1 variants
+    (which negates the first two columns)."""
+    c, s = math.cos(phi), math.sin(phi)
+    g = -1.0 if variant in ("g1x", "g1y") else 1.0
+    if variant in ("g0x", "g1x"):
+        return np.array([[g, 0.0, 0.0], [0.0, g * c, -s], [0.0, g * s, c]])
+    return np.array([[g * c, 0.0, s], [0.0, g, 0.0], [-g * s, 0.0, c]])
+
+
 def sql_control_ptm(variant: str, phi: float) -> PauliTransferMap:
     """Bloch rotation of the constant control ``exp(-i phi A / 2)`` (times Z for G1 variants)."""
-    c, s = np.cos(phi), np.sin(phi)
-    if variant in ("g0x", "g1x"):
-        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    else:
-        rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    if variant in ("g1x", "g1y"):
-        rot = rot @ np.diag([-1.0, -1.0, 1.0])
-    return PauliTransferMap(np.zeros(3), rot, validated=True)
+    return PauliTransferMap(np.zeros(3), _sql_rotation(variant, phi), validated=True)
 
 
 def sql_protocol(
@@ -286,14 +373,29 @@ def sql_protocol(
     if n < 1:
         raise DomainError("n must be at least 1")
     _sql_trace(fam, variant, w, z0)
-    control = ControlSequence(sql_control_ptm(variant, np.sqrt(w / n)))
-    result = simulate_sequence(fam, control, BlochState(np.array([0.0, 0.0, z0]), np.zeros(3)), n)
+    control = ControlSequence(sql_control_ptm(variant, math.sqrt(w / n)))
+    result = simulate_sequence(fam, control, _axis_state(z0), n)
     return ProtocolResult(
         n=result.n,
         qfi_or_fi=result.qfi_or_fi,
         meta={"w": w, "variant": variant, "z0": z0},
         terminal=result.terminal,
     )
+
+
+def _sql_results(fam: DephasingFamily, ns: np.ndarray, w: float, variant: str, z0: float) -> list:
+    """:func:`sql_protocol`'s checks, then the run at each n of ``ns``, each under its own control."""
+    if (ns < 1).any():
+        raise DomainError("n must be at least 1")
+    _sql_trace(fam, variant, w, z0)
+    rotations = [_sql_rotation(variant, math.sqrt(w / n)) for n in ns]
+    return _constant_rows(fam, ns, _axis_state(z0), np.zeros(3), rotations)
+
+
+@_rows_form
+def sql_protocol_rows(fam: DephasingFamily, ns, w: float, variant: str = "g0x", z0: float = 1.0):
+    """The QFI of :func:`sql_protocol` at each n of ``ns``."""
+    return [r.qfi_or_fi for r in _sql_results(fam, ns, w, variant, z0)]
 
 
 @_overflow_is_domain_error
@@ -321,6 +423,11 @@ def sql_asymptotic(fam: DephasingFamily, w: float, variant: str = "g0x", z0: flo
 # ---------------------------------------------------------------------------
 
 
+def _pole_interval(fam: DephasingFamily, interval: int) -> float:
+    """The QFI one interval of ``interval`` control-free steps accumulates from ``(0, 0, 1)``."""
+    return simulate_sequence(fam, ControlSequence.identity(), _axis_state(1.0), interval).qfi_or_fi
+
+
 def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> ProtocolResult:
     """Reset-and-measure protocol: optimal measurement every ``interval`` steps from ``(0, 0, 1)``.
 
@@ -331,19 +438,36 @@ def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> Protoco
         raise DomainError("interval must be at least 1")
     if n < 0:
         raise DomainError("n must be nonnegative")
-    pole = BlochState(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-    per_interval = simulate_sequence(fam, ControlSequence.identity(), pole, interval)
+    per_interval = _pole_interval(fam, interval)
     blocks = n // interval
     return ProtocolResult(
         n=n,
-        qfi_or_fi=blocks * per_interval.qfi_or_fi,
+        qfi_or_fi=blocks * per_interval,
         meta={
             "interval": interval,
             "blocks": blocks,
             "remainder": n % interval,
-            "per_interval_qfi": per_interval.qfi_or_fi,
+            "per_interval_qfi": per_interval,
         },
     )
+
+
+@_rows_form
+def repeated_measurement_rows(fam: DephasingFamily, ns, interval: int):
+    """The FI of :func:`repeated_measurement` at each n of ``ns``: ``(n // interval)`` times
+    one per-interval QFI."""
+    if interval < 1:
+        raise DomainError("interval must be at least 1")
+    if (ns < 0).any():
+        raise DomainError("n must be nonnegative")
+    per_interval = _pole_interval(fam, interval)
+    return [ProtocolResult(n=n, qfi_or_fi=int(n) // interval * per_interval).qfi_or_fi for n in ns]
+
+
+def _spam_readout(z0: float, terminal: BlochState) -> float:
+    """FI of the readout ``{M, I - M}`` on a terminal Bloch pair, ``M`` of bias ``z0 = 1 - 2q``."""
+    s, ds = z0 * terminal.v[2], z0 * terminal.dv[2]
+    return float(_bloch_qfi(ds * ds, s * ds, 1.0 - s * s)[0])
 
 
 def spam_fi(
@@ -365,9 +489,18 @@ def spam_fi(
     z0 = 1.0 - 2.0 * q
     if z0 <= 0.0:
         return 0.0  # input is maximally mixed and the POVM element is I/2
-    terminal = sql_protocol(fam, n, w, variant=variant, z0=z0).terminal
-    s, ds = z0 * terminal.v[2], z0 * terminal.dv[2]
-    return float(_bloch_qfi(ds * ds, s * ds, 1.0 - s * s)[0])
+    return _spam_readout(z0, sql_protocol(fam, n, w, variant=variant, z0=z0).terminal)
+
+
+@_rows_form
+def spam_fi_rows(fam: DephasingFamily, ns, w: float, q: float, variant: str = "g0x"):
+    """:func:`spam_fi` at each n of ``ns``."""
+    if not 0.0 <= q <= 0.5:
+        raise DomainError("q must lie in [0, 1/2]")
+    z0 = 1.0 - 2.0 * q
+    if z0 <= 0.0:
+        return 0.0
+    return [_spam_readout(z0, r.terminal) for r in _sql_results(fam, ns, w, variant, z0)]
 
 
 def spam_povm(q: float) -> Povm:
@@ -383,23 +516,47 @@ def spam_povm(q: float) -> Povm:
 # ---------------------------------------------------------------------------
 
 
-def _qec_transfer(p: float) -> np.ndarray:
-    """32x32 map of one QEC step on ``(vec rho, vec drho)``, row-major vectorization.
+def _qec_parts() -> tuple:
+    """``(M0, M1)`` with ``(1-p) M0 + p M1`` the 32x32 map of one QEC step on ``(vec rho, vec drho)``.
 
-    ``vec(A X B) = (A ⊗ Bᵀ) vec(X)``; the syndrome projectors
-    ``P± = (I ± X⊗Z_A)/2`` are built exactly, so ``P+ + P- = I`` holds in
-    floating point and the trace does not drift with ``n``.
+    Row-major vectorization, ``vec(A X B) = (A ⊗ Bᵀ) vec(X)``.  The dephasing
+    ``(1-p) id + p Z1 . Z1`` is the only part that depends on ``p``, so ``M0``
+    is the step without the flip ``Z1 . Z1`` and ``M1`` the step after it.  The
+    syndrome projectors ``P± = (I ± X⊗Z_A)/2`` are built exactly, so
+    ``P+ + P- = I`` holds in floating point and the trace does not drift with ``n``.
     """
     z1 = np.kron(Z, I2)
     x1 = np.kron(X, I2)
     eye = np.eye(4)
     p_plus = (eye + np.kron(X, Z)) / 2.0
     flip = z1 @ (eye - np.kron(X, Z)) / 2.0  # Z on the probe after the -1 projector
-    dephase = (1.0 - p) * np.eye(16) + p * np.kron(z1, z1)
     drive = -1j * (np.kron(x1, eye) - np.kron(eye, x1))
     recover = np.kron(p_plus, p_plus) + np.kron(flip, flip)
-    step = recover @ dephase
-    return np.block([[step, np.zeros((16, 16))], [recover @ drive @ dephase, step]])
+    m0 = np.block([[recover, np.zeros((16, 16))], [recover @ drive, recover]])
+    return m0, m0 @ np.kron(np.eye(2), np.kron(z1, z1))
+
+
+def _qec_start() -> np.ndarray:
+    """``(vec rho, vec drho)`` of the input ``(|+>|0>_A + |->|1>_A)/sqrt(2)``, as complex numbers."""
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    psi0 = (np.kron(plus, [1.0, 0.0]) + np.kron(minus, [0.0, 1.0])) / np.sqrt(2.0)
+    return np.concatenate([np.outer(psi0, psi0).ravel(), np.zeros(16)]).astype(complex)
+
+
+_QEC_M0, _QEC_M1 = _qec_parts()
+_QEC_START = _qec_start()
+
+
+def _qec_transfer(p: float) -> np.ndarray:
+    """32x32 map of one QEC step on ``(vec rho, vec drho)``, linear in ``p`` (see :func:`_qec_parts`)."""
+    return (1.0 - p) * _QEC_M0 + p * _QEC_M1
+
+
+def _qec_result(p: float, n, z: np.ndarray) -> ProtocolResult:
+    """The result of a QEC run that ends in ``z = (vec rho, vec drho)``."""
+    qfi = qfi_state(DensityState(z[:16].reshape(4, 4), z[16:].reshape(4, 4)))
+    return ProtocolResult(n=n, qfi_or_fi=qfi, meta={"p": p, "code": "two_qubit_repetition"})
 
 
 def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
@@ -416,15 +573,18 @@ def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
         raise DomainError("p must lie in (0, 1/2]")
     if n < 0:
         raise DomainError("n must be nonnegative")
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    psi0 = (np.kron(plus, e0) + np.kron(minus, e1)) / np.sqrt(2.0)
-    z = np.concatenate([np.outer(psi0, psi0).ravel(), np.zeros(16)])
-    z = z + _power_minus_identity(_qec_transfer(p) - np.eye(32), n) @ z
-    qfi = qfi_state(DensityState(z[:16].reshape(4, 4), z[16:].reshape(4, 4)))
-    return ProtocolResult(n=n, qfi_or_fi=qfi, meta={"p": p, "code": "two_qubit_repetition"})
+    return _qec_result(p, n, _advance(_qec_transfer(p) - np.eye(32), n, _QEC_START))
+
+
+@_rows_form
+def qec_repetition_rows(p: float, ns):
+    """The QFI of :func:`qec_repetition_sim` at each n of ``ns``."""
+    if not 0.0 < p <= 0.5:
+        raise DomainError("p must lie in (0, 1/2]")
+    if (ns < 0).any():
+        raise DomainError("n must be nonnegative")
+    z = _advance(_qec_transfer(p) - np.eye(32), ns, _QEC_START)
+    return [_qec_result(p, n, row).qfi_or_fi for n, row in zip(ns, z)]
 
 
 def qec_analytic(p: float, n: int) -> float:

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmetro import protocols
 from qmetro.cli import (
     PROTOCOLS,
     ConfigError,
+    _fmt,
     cmd_classify,
     cmd_figure2,
     cmd_sweep,
@@ -25,7 +27,7 @@ from qmetro.cli import (
 )
 from qmetro.channel_model import DephasingFamily
 from qmetro.protocols import SQL_VARIANTS
-from qmetro.qubit_core import X
+from qmetro.qubit_core import BlochState, X
 
 EQ2 = """
 family.p = 0.1
@@ -128,6 +130,32 @@ class TestSweepCommand:
             )
             cmd_sweep(cfg)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("kind", PROTOCOLS)
+    def test_rows_equal_per_n_calls_across_blocks(self, monkeypatch, kind):
+        # four rows per block, so the six unsorted rows below span two blocks
+        block = 4
+        monkeypatch.setattr(protocols, "ROWS_PER_BLOCK", block)
+        ns = (7, 3, 3, 1, block + 1, 100000)
+        cfg = parse_config(
+            "family.p = 0.17\nfamily.pdot = 0.3\nfamily.g0 = 1 0.5 1\nfamily.g1 = 0.7 -1 0.2\n"
+            f"protocol.kind = {kind}\nprotocol.q = 0.01\nprotocol.z0 = 0.9\n"
+            f"protocol.variant = g1x\nprotocol.interval = 4\nn = {' '.join(map(str, ns))}\n"
+        )
+        per_n = {
+            "sql": lambda n: protocols.sql_protocol(cfg.family, n, cfg.w, "g1x", 0.9).qfi_or_fi,
+            "spam": lambda n: protocols.spam_fi(cfg.family, n, cfg.w, 0.01, "g1x"),
+            "repeated": lambda n: protocols.repeated_measurement(cfg.family, n, 4).qfi_or_fi,
+            "qec": lambda n: protocols.qec_repetition_sim(cfg.family.p, n).qfi_or_fi,
+            "no_control": lambda n: protocols.simulate_sequence(
+                cfg.family, protocols.ControlSequence.identity(), BlochState([0.0, 0.0, 0.9], np.zeros(3)), n
+            ).qfi_or_fi,
+        }[kind]
+        buf = io.StringIO()
+        assert cmd_sweep(cfg, out=buf) == 0
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        assert [int(r[1]) for r in rows] == list(ns)
+        assert [r[-1] for r in rows] == [_fmt(per_n(n)) for n in ns]
 
 
 class TestFigure2Command:
@@ -266,6 +294,19 @@ class TestExitCodes:
         assert main(["--config", str(cfg_path), "--out", str(out), "sweep"]) == 0
         value = float(out.read_text().splitlines()[1].split(",")[-1])
         assert np.isclose(value, 4 * (1 - 2 * 0.13) ** 2 * 5000**2, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "command, n", [("bound", "0"), ("sweep", "0"), ("sweep", "4 -2 7"), ("sweep", "0..3"), ("bound", "-5..2")]
+    )
+    def test_step_count_below_one_is_2(self, tmp_path, capsys, command, n):
+        cfg_path = tmp_path / "zero.conf"
+        out = tmp_path / "rows.csv"
+        cfg_path.write_text(EQ2 + f"protocol.kind = sql\nn = {n}\n")
+        assert main(["--config", str(cfg_path), "--out", str(out), command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:config:field 'n': step counts must be at least 1")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_seed_is_retired(self, tmp_path, capsys):
         cfg_path = tmp_path / "s.conf"

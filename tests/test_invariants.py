@@ -165,6 +165,6 @@ class TestBuiltOnce:
         before = fam.g_minus_coords.copy()
         g0[0, 1] = g0[1, 0] = 5.0  # the caller's array is not the family's
         assert np.array_equal(fam.g_minus_coords, before)
-        for array in (fam.g0, fam.g_plus_coords, fam.g_minus_coords):
+        for array in (fam.g0, fam.g_plus_coords, fam.g_minus_coords, fam.transfer_matrix):
             with pytest.raises(ValueError):
                 array[0] = 0.0

@@ -13,19 +13,28 @@ from qmetro.channel_model import (
 )
 from qmetro.fisher_info import povm_fi, qfi_bloch, qfi_state
 from qmetro.protocols import (
+    _QEC_START,
     SQL_VARIANTS,
     BlochKernel,
     ControlSequence,
     no_control_fixed_point,
+    no_control_rows,
     qec_analytic,
+    qec_repetition_rows,
     qec_repetition_sim,
     repeated_measurement,
+    repeated_measurement_rows,
     simulate_sequence,
     spam_fi,
+    spam_fi_rows,
     spam_povm,
     sql_asymptotic,
     sql_control_ptm,
     sql_protocol,
+    sql_protocol_rows,
+    _advance,
+    _qec_transfer,
+    _step_offsets,
 )
 from qmetro.qubit_core import (
     I2,
@@ -224,6 +233,94 @@ class TestTransferMatrix:
                 assert rel_dist(qec_repetition_sim(p, n).qfi_or_fi, qec_analytic(p, n)) <= 1e-12
 
 
+class TestAdvance:
+    # unsorted, with duplicates, zeros and exponents of up to 21 bits
+    NS = np.array([7, 0, 3, 3, 1, 1025, 0, 100_000, 64, 2_000_000])
+
+    def check_rows(self, e, z):
+        rows = _advance(e, self.NS, z)
+        assert rows.shape == (len(self.NS), z.shape[-1])
+        for i, n in enumerate(self.NS):
+            one = _advance(e if e.ndim == 2 else e[i], int(n), z if z.ndim == 1 else z[i])
+            assert np.array_equal(rows[i], one), (i, n)
+
+    def test_per_row_offsets_match_one_row_calls_bitwise(self, rng):
+        rots = [ptm_from_kraus(random_cptp_kraus(rng)) for _ in self.NS]
+        e = _step_offsets(TestTransferMatrix.FAM, [m.t for m in rots], [m.T for m in rots])
+        self.check_rows(e, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
+        self.check_rows(e, np.column_stack([rng.normal(size=(len(self.NS), 6)), np.ones(len(self.NS))]))
+
+    def test_shared_offset_matches_one_row_calls_bitwise(self):
+        control = sql_control_ptm("g1y", 0.03)
+        e = _step_offsets(TestTransferMatrix.FAM, control.t, control.T)[0]
+        self.check_rows(e, np.array([0.0, 0.0, 0.8, 0.0, 0.0, 0.0, 1.0]))
+
+    def test_shared_complex_offset_matches_one_row_calls_bitwise(self):
+        self.check_rows(_qec_transfer(0.13) - np.eye(32), _QEC_START)
+
+    def test_zero_steps_return_the_start(self):
+        z = np.arange(7.0)
+        assert np.array_equal(_advance(np.ones((7, 7)), 0, z), z)
+        assert np.array_equal(_advance(np.ones((7, 7)), np.zeros(3, dtype=int), z), np.tile(z, (3, 1)))
+
+    def test_matches_matrix_power(self, rng):
+        e = 0.1 * rng.normal(size=(7, 7))
+        for n in (1, 2, 5, 33):
+            want = np.linalg.matrix_power(np.eye(7) + e, n) @ np.arange(7.0)
+            assert rel_dist(_advance(e, n, np.arange(7.0)), want) <= 1e-13
+
+
+class TestRowsForms:
+    FAM = TestTransferMatrix.FAM
+    NS = (40, 1, 7, 7, 0, 300)
+
+    def test_values_equal_per_n_calls_bitwise(self):
+        ns = [n for n in self.NS if n >= 1]
+        for variant in SQL_VARIANTS:
+            assert list(sql_protocol_rows(self.FAM, ns, 0.02, variant, 0.9)) == [
+                sql_protocol(self.FAM, n, 0.02, variant, 0.9).qfi_or_fi for n in ns
+            ]
+            assert list(spam_fi_rows(self.FAM, ns, 0.02, 0.03, variant)) == [
+                spam_fi(self.FAM, n, 0.02, 0.03, variant) for n in ns
+            ]
+        assert list(repeated_measurement_rows(self.FAM, self.NS, 4)) == [
+            repeated_measurement(self.FAM, n, 4).qfi_or_fi for n in self.NS
+        ]
+        assert list(qec_repetition_rows(0.2, self.NS)) == [qec_repetition_sim(0.2, n).qfi_or_fi for n in self.NS]
+        start = BlochState([0.0, 0.0, 0.7], np.zeros(3))
+        assert list(no_control_rows(self.FAM, self.NS, 0.7)) == [
+            simulate_sequence(self.FAM, ControlSequence.identity(), start, n).qfi_or_fi for n in self.NS
+        ]
+
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            (lambda ns: sql_protocol_rows(TestTransferMatrix.FAM, ns, 0.01), 0),
+            (lambda ns: spam_fi_rows(TestTransferMatrix.FAM, ns, 0.01, 0.1), 0),
+            (lambda ns: repeated_measurement_rows(TestTransferMatrix.FAM, ns, 6), -1),
+            (lambda ns: qec_repetition_rows(0.1, ns), -1),
+            (lambda ns: no_control_rows(TestTransferMatrix.FAM, ns), -1),
+        ],
+        ids=["sql", "spam", "repeated", "qec", "no_control"],
+    )
+    def test_bad_row_raises_what_the_per_n_call_raises(self, call, bad):
+        assert call([bad + 1, 3]).shape == (2,)
+        with pytest.raises(DomainError, match="n must be"):
+            call([3, 2, bad])
+        assert call([]).shape == (0,)
+
+    def test_bad_arguments_raise_on_every_row(self):
+        with pytest.raises(DomainError, match="q must lie"):
+            spam_fi_rows(self.FAM, [1], 0.01, 0.7)
+        with pytest.raises(DomainError, match="interval"):
+            repeated_measurement_rows(self.FAM, [1], 0)
+        with pytest.raises(DomainError, match="p must lie"):
+            qec_repetition_rows(0.0, [1])
+        with pytest.raises(DomainError, match="w must be positive"):
+            sql_protocol_rows(self.FAM, [1], 0.0)
+        assert list(spam_fi_rows(self.FAM, [1, 5], 0.01, 0.5)) == [0.0, 0.0]
+
+
 class TestControlSequence:
     def test_rejects_non_cptp_map(self):
         from qmetro.qubit_core import ValidationError
@@ -264,6 +361,7 @@ class TestBlochKernel:
             assert kernel.T[2, 2] == 1.0
             assert np.array_equal(kernel.T - np.diag(np.diag(kernel.T)), np.zeros((3, 3)))
             assert not kernel.t.any() and not kernel.dt.any()
+            assert np.array_equal(kernel.lifted(), fam.transfer_matrix)
 
     def test_family_and_channel_kernels_agree(self, rng):
         from qmetro.channel_model import dephasing_channel
