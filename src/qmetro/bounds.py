@@ -144,7 +144,7 @@ def nonunital_gauge(fam: DephasingFamily, iota_prev: np.ndarray) -> GaugeMatrix:
 
 def gauged_pairs(ch: OneParamChannel, gauge: GaugeMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """Apply the Kraus-representation gauge: ``dK~_i = dK_i - i sum_j h_ij K_j``."""
-    r = len(ch.kraus)
+    r = len(ch.k_ops)
     if gauge.h.shape != (r, r):
         raise ValidationError(f"gauge must be {r}x{r} for this channel, got {gauge.h.shape}")
     return list(zip(ch.k_ops, _gauged_derivatives(ch.k_ops, ch.dk_ops, gauge.h)))
@@ -235,12 +235,14 @@ def rgnks_violated_bound(fam: DephasingFamily) -> float:
     return float((tr_gm_z**2 + 4.0 * pdot**2) / (p * p * (1.0 - p) ** 2))
 
 
+@_overflow_is_domain_error
 def contractive_bound(ch: OneParamChannel) -> float:
     """Ceiling ``F(E) / (1 - sqrt(eta))^2`` for strictly contractive channels.
 
     ``eta`` is the trace-norm contraction coefficient (an upper bound on the
     QFI contraction coefficient), so the returned value remains a valid,
-    possibly loose, ceiling on any sequential-strategy QFI.
+    possibly loose, ceiling on any sequential-strategy QFI.  Raises
+    :class:`DomainError` when it overflows.
     """
     ptm = ptm_from_kraus(ch.kraus_set())
     eta = eta_bound(ptm)

@@ -1,8 +1,8 @@
 """One-parameter qubit channel families and their structural conditions.
 
-A one-parameter qubit channel is held as a list of Kraus pairs ``(K_i, dK_i)``
-evaluated at the true parameter value.  The central family is the general
-dephasing-class channel
+A one-parameter qubit channel is held as its Kraus pairs ``(K_i, dK_i)`` at
+the true parameter value, stacked once into two arrays.  The central family
+is the general dephasing-class channel
 
     ``E_theta(rho) = (1-p_theta) e^{-i G0 theta} rho e^{+i G0 theta}
                      + p_theta Z e^{-i G1 theta} rho e^{+i G1 theta} Z``
@@ -52,7 +52,6 @@ from .qubit_core import (
 __all__ = [
     "AmbiguousClassificationError",
     "NotApplicableError",
-    "KrausPair",
     "OneParamChannel",
     "DephasingFamily",
     "CanonicalPauliForm",
@@ -105,55 +104,49 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class KrausPair:
-    """A Kraus operator and its theta-derivative at the true value."""
-
-    k: np.ndarray
-    dk: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.k, dtype=complex)
-        dk = np.asarray(self.dk, dtype=complex)
-        if k.shape != dk.shape:
-            raise ValidationError("Kraus operator and derivative must share a shape")
-        if not (np.isfinite(k).all() and np.isfinite(dk).all()):
-            raise ValidationError("Kraus operator or derivative has non-finite entries")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "dk", dk)
+def _k_dag_dk(k_ops: np.ndarray, dk_ops: np.ndarray) -> np.ndarray:
+    """``sum_i K_i^dag dK_i`` over the stacked pairs."""
+    return (np.swapaxes(k_ops.conj(), 1, 2) @ dk_ops).sum(0)
 
 
 @dataclass(frozen=True, init=False)
 class OneParamChannel:
-    """A differentiable one-parameter channel given by Kraus pairs at theta=0.
+    """A differentiable one-parameter channel given by Kraus pairs ``(K_i, dK_i)`` at theta=0.
 
-    ``k_ops`` and ``dk_ops`` are the pairs stacked once into read-only r x d x d arrays.
+    The pairs are stacked once into read-only r x d x d arrays: ``k_ops`` is the
+    ``ops`` of the channel's :class:`KrausSet`, ``dk_ops`` the derivatives.
     """
 
-    kraus: tuple
+    k_ops: np.ndarray
+    dk_ops: np.ndarray
 
     def __init__(self, kraus):
-        pairs = tuple(p if isinstance(p, KrausPair) else KrausPair(*p) for p in kraus)
+        pairs = [(np.asarray(k, dtype=complex), np.asarray(dk, dtype=complex)) for k, dk in kraus]
+        for k, dk in pairs:
+            if k.shape != dk.shape:
+                raise ValidationError("Kraus operator and derivative must share a shape")
+            if not (np.isfinite(k).all() and np.isfinite(dk).all()):
+                raise ValidationError("Kraus operator or derivative has non-finite entries")
         # built once: its constructor is the trace-preservation check
-        ks = KrausSet([p.k for p in pairs])
-        object.__setattr__(self, "_kraus_set", ks)
-        object.__setattr__(self, "k_ops", _read_only(np.array(ks.ops)))
-        object.__setattr__(self, "dk_ops", _read_only(np.array([p.dk for p in pairs])))
-        first_order = sum(p.dk.conj().T @ p.k + p.k.conj().T @ p.dk for p in pairs)
-        if np.linalg.norm(first_order) > 1e-9:
+        ks = KrausSet([k for k, _ in pairs])
+        dk_ops = _read_only(np.array([dk for _, dk in pairs]))
+        first_order = _k_dag_dk(ks.ops, dk_ops)
+        if np.linalg.norm(first_order + first_order.conj().T) > 1e-9:
             raise ValidationError("family breaks trace preservation at first order (residual > 1e-9)")
-        object.__setattr__(self, "kraus", pairs)
+        object.__setattr__(self, "_kraus_set", ks)
+        object.__setattr__(self, "k_ops", ks.ops)
+        object.__setattr__(self, "dk_ops", dk_ops)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].k.shape[0]
+        return self.k_ops.shape[1]
 
     def kraus_set(self) -> KrausSet:
         return self._kraus_set
 
     def hamiltonian(self) -> np.ndarray:
         """``H = i sum_i K_i^dag dK_i`` (Hermitian by the family invariant)."""
-        h = 1j * sum(p.k.conj().T @ p.dk for p in self.kraus)
+        h = 1j * _k_dag_dk(self.k_ops, self.dk_ops)
         return (h + h.conj().T) / 2.0
 
 
@@ -321,7 +314,7 @@ def x_rotation_dephasing(p: float, pdot: float = 0.0) -> DephasingFamily:
 def rotated_family(ks: KrausSet, generator: np.ndarray) -> OneParamChannel:
     """One-parameter family ``e^{-i G theta} E(.) e^{+i G theta}`` at theta=0."""
     g = require_hermitian(generator, name="generator")
-    return OneParamChannel([(k, -1j * g @ k) for k in ks.ops])
+    return OneParamChannel(zip(ks.ops, -1j * g @ ks.ops))
 
 
 def depolarizing_kraus(lam: float) -> KrausSet:
@@ -419,9 +412,8 @@ def solve_h_annihilating(ks: KrausSet, h_target: np.ndarray) -> AnnihilatingGaug
             "channel is unital within tolerance; the annihilating gauge is not guaranteed"
         )
     canon = form.kraus_set()
-    kc = np.array(canon.ops)
-    h = _span_lstsq(kc, h_target, 1e-12)[1]
-    total = h_target + np.einsum("ij,iba,jbc->ac", h, kc.conj(), kc)
+    h = _span_lstsq(canon.ops, h_target, 1e-12)[1]
+    total = h_target + np.einsum("ij,iba,jbc->ac", h, canon.ops.conj(), canon.ops)
     return AnnihilatingGauge(h=h, kraus=canon, residual=float(np.linalg.norm(total, 2)))
 
 

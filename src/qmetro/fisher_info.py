@@ -135,12 +135,14 @@ class ChannelQfiResult:
 
 def _eigen_pairs(s: DensityState, warning: str):
     """rho's eigenvectors, drho in their frame, the eigenvalue pair sums and the mask of sums above
-    ``EIG_PAIR_CUTOFF``; warns the caller's caller when drho has weight outside the mask."""
+    ``EIG_PAIR_CUTOFF``; warns the caller's caller when drho's weight outside the mask exceeds
+    ``1e-18 ||drho||^2`` (drho's roundoff grows with its norm, like ``n`` in a long protocol run)."""
     lam, vecs = np.linalg.eigh(s.rho)
     d = vecs.conj().T @ s.drho @ vecs
     pair_sums = lam[:, None] + lam[None, :]
     mask = pair_sums > EIG_PAIR_CUTOFF
-    if float(np.sum(np.abs(d[~mask]) ** 2)) > 1e-18:
+    weight = np.abs(d) ** 2
+    if weight[~mask].sum() > 1e-18 * weight.sum():
         warnings.warn(warning, RankDeficiencyWarning, stacklevel=3)
     return vecs, d, pair_sums, mask
 
@@ -433,7 +435,7 @@ def channel_qfi_no_ancilla(ch: OneParamChannel) -> float:
     """
     ptm = ptm_from_kraus(ch.kraus_set())
     t, T = ptm.t, ptm.T
-    dt, dT = ptm_derivative_from_kraus(zip(ch.k_ops, ch.dk_ops))
+    dt, dT = ptm_derivative_from_kraus(ch.k_ops, ch.dk_ops)
     top = np.linalg.eigh(dT.T @ dT)[1][:, -1]
     candidates = np.vstack([_pure_output_inputs(ch.k_ops), top, -top])
     grid = _output_qfi(_SPHERE, t, T, dt, dT)[0]

@@ -25,10 +25,11 @@ vectorized 4x4 matrices (``D`` dephasing, ``A`` the generator commutator,
 :func:`_advance` likewise raises to the power ``n``.
 
 Each per-n protocol has a rows form (``*_rows``) that takes a sequence of
-step counts ``ns`` and returns one value per entry.  It builds the steps as
-its per-n sibling does, keeps that sibling's checks and exception types on
-every row, and advances all rows of a block of ``ROWS_PER_BLOCK`` together,
-so each value is bitwise the per-n call's.
+step counts ``ns`` and returns one value per entry.  It runs its argument
+checks in the one helper it shares with its per-n sibling, builds the steps
+as that sibling does, and advances all rows of a block of ``ROWS_PER_BLOCK``
+together, so each value is bitwise the per-n call's.  The QEC protocol has
+one body: :func:`qec_repetition_sim` is its one-row call.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .qubit_core import (
 __all__ = [
     "ControlSequence",
     "ProtocolResult",
-    "BlochKernel",
     "simulate_sequence",
     "no_control_rows",
     "sql_control_ptm",
@@ -105,6 +105,8 @@ class ControlSequence:
                 constant = len(maps) == 1
         if not maps:
             raise ValidationError("ControlSequence needs at least one map")
+        if constant and len(maps) > 1:
+            raise ValidationError(f"a constant ControlSequence holds one map, got {len(maps)}")
         for m in maps:
             if not m.validated:
                 require_cptp(m)
@@ -135,31 +137,6 @@ class ProtocolResult:
             raise DomainError(f"qfi_or_fi is not finite ({self.qfi_or_fi}): the inputs overflow")
         if self.qfi_or_fi < -1e-12:
             raise ValidationError("qfi_or_fi must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BlochKernel:
-    """Bloch-space data (T, dT; t, dt) of a one-parameter qubit channel at theta=0."""
-
-    t: np.ndarray
-    T: np.ndarray
-    dt: np.ndarray
-    dT: np.ndarray
-
-    @staticmethod
-    def from_family(fam: DephasingFamily) -> "BlochKernel":
-        k = fam.transfer_matrix
-        return BlochKernel(k[:3, 6].copy(), k[:3, :3].copy(), k[3:6, 6].copy(), k[3:6, :3].copy())
-
-    @staticmethod
-    def from_channel(ch: OneParamChannel) -> "BlochKernel":
-        ptm = ptm_from_kraus(ch.kraus_set())
-        dt, dT = ptm_derivative_from_kraus(zip(ch.k_ops, ch.dk_ops))
-        return BlochKernel(ptm.t, ptm.T, dt, dT)
-
-    def lifted(self) -> np.ndarray:
-        """The 7x7 affine map of one channel use on ``(v, dv, 1)``."""
-        return _lift(self.t, self.T, self.dt, self.dT)
 
 
 def _lift(t, T, dt=0.0, dT=0.0) -> np.ndarray:
@@ -242,11 +219,13 @@ def _rows_form(per_block):
 
 
 def _lifted_kernel(fam) -> np.ndarray:
-    """The 7x7 map of one channel use on ``(v, dv, 1)``; a family keeps its own."""
+    """The 7x7 map of one channel use on ``(v, dv, 1)``: a family's exact ``transfer_matrix``,
+    or a channel's Bloch data ``(t, T; dt, dT)`` read from its stacked Kraus pairs and lifted."""
     if isinstance(fam, DephasingFamily):
         return fam.transfer_matrix
     if isinstance(fam, OneParamChannel):
-        return BlochKernel.from_channel(fam).lifted()
+        ptm = ptm_from_kraus(fam.kraus_set())
+        return _lift(ptm.t, ptm.T, *ptm_derivative_from_kraus(fam.k_ops, fam.dk_ops))
     raise ValidationError(f"unsupported channel description: {type(fam).__name__}")
 
 
@@ -331,8 +310,11 @@ def no_control_rows(fam, ns, z0: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def _sql_trace(fam: DephasingFamily, variant: str, w: float, z0: float) -> float:
-    """The driving trace ``Tr(G A)`` of an SQL variant, once its arguments pass their checks."""
+def _sql_trace(fam: DephasingFamily, variant: str, w: float, z0: float, n_min: int = 1) -> float:
+    """The driving trace ``Tr(G A)`` of an SQL variant, once its arguments pass their checks;
+    ``n_min`` is the smallest step count of the run."""
+    if n_min < 1:
+        raise DomainError("n must be at least 1")
     if w <= 0.0:
         raise DomainError("w must be positive")
     if not 0.0 < z0 <= 1.0:
@@ -370,9 +352,7 @@ def sql_protocol(
     with an extra Z factor for the G1 variants) after each channel use,
     starting from ``(0, 0, z0)``.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    _sql_trace(fam, variant, w, z0)
+    _sql_trace(fam, variant, w, z0, n)
     control = ControlSequence(sql_control_ptm(variant, math.sqrt(w / n)))
     result = simulate_sequence(fam, control, _axis_state(z0), n)
     return ProtocolResult(
@@ -385,9 +365,7 @@ def sql_protocol(
 
 def _sql_results(fam: DephasingFamily, ns: np.ndarray, w: float, variant: str, z0: float) -> list:
     """:func:`sql_protocol`'s checks, then the run at each n of ``ns``, each under its own control."""
-    if (ns < 1).any():
-        raise DomainError("n must be at least 1")
-    _sql_trace(fam, variant, w, z0)
+    _sql_trace(fam, variant, w, z0, ns.min())
     rotations = [_sql_rotation(variant, math.sqrt(w / n)) for n in ns]
     return _constant_rows(fam, ns, _axis_state(z0), np.zeros(3), rotations)
 
@@ -423,8 +401,13 @@ def sql_asymptotic(fam: DephasingFamily, w: float, variant: str = "g0x", z0: flo
 # ---------------------------------------------------------------------------
 
 
-def _pole_interval(fam: DephasingFamily, interval: int) -> float:
-    """The QFI one interval of ``interval`` control-free steps accumulates from ``(0, 0, 1)``."""
+def _pole_interval(fam: DephasingFamily, interval: int, n_min: int) -> float:
+    """The QFI one interval of ``interval`` control-free steps accumulates from ``(0, 0, 1)``,
+    once ``interval`` and the smallest step count ``n_min`` pass their checks."""
+    if interval < 1:
+        raise DomainError("interval must be at least 1")
+    if n_min < 0:
+        raise DomainError("n must be nonnegative")
     return simulate_sequence(fam, ControlSequence.identity(), _axis_state(1.0), interval).qfi_or_fi
 
 
@@ -434,11 +417,7 @@ def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> Protoco
     The FI is the number of completed intervals times the QFI accumulated in
     one interval; remainder steps are dropped and recorded in the metadata.
     """
-    if interval < 1:
-        raise DomainError("interval must be at least 1")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    per_interval = _pole_interval(fam, interval)
+    per_interval = _pole_interval(fam, interval, n)
     blocks = n // interval
     return ProtocolResult(
         n=n,
@@ -456,12 +435,15 @@ def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> Protoco
 def repeated_measurement_rows(fam: DephasingFamily, ns, interval: int):
     """The FI of :func:`repeated_measurement` at each n of ``ns``: ``(n // interval)`` times
     one per-interval QFI."""
-    if interval < 1:
-        raise DomainError("interval must be at least 1")
-    if (ns < 0).any():
-        raise DomainError("n must be nonnegative")
-    per_interval = _pole_interval(fam, interval)
+    per_interval = _pole_interval(fam, interval, ns.min())
     return [ProtocolResult(n=n, qfi_or_fi=int(n) // interval * per_interval).qfi_or_fi for n in ns]
+
+
+def _spam_bias(q: float) -> float:
+    """The bias ``z0 = 1 - 2q`` of the SPAM input and readout, once ``q`` passes its check."""
+    if not 0.0 <= q <= 0.5:
+        raise DomainError("q must lie in [0, 1/2]")
+    return 1.0 - 2.0 * q
 
 
 def _spam_readout(z0: float, terminal: BlochState) -> float:
@@ -484,9 +466,7 @@ def spam_fi(
     on the terminal Bloch pair is ``s'^2 / (1 - s^2)`` with ``s = (1-2q) v_z`` and
     ``s' = (1-2q) dv_z``; a noiseless readout at the pole (``s^2 = 1``) gets ``s'^2``.
     """
-    if not 0.0 <= q <= 0.5:
-        raise DomainError("q must lie in [0, 1/2]")
-    z0 = 1.0 - 2.0 * q
+    z0 = _spam_bias(q)
     if z0 <= 0.0:
         return 0.0  # input is maximally mixed and the POVM element is I/2
     return _spam_readout(z0, sql_protocol(fam, n, w, variant=variant, z0=z0).terminal)
@@ -495,9 +475,7 @@ def spam_fi(
 @_rows_form
 def spam_fi_rows(fam: DephasingFamily, ns, w: float, q: float, variant: str = "g0x"):
     """:func:`spam_fi` at each n of ``ns``."""
-    if not 0.0 <= q <= 0.5:
-        raise DomainError("q must lie in [0, 1/2]")
-    z0 = 1.0 - 2.0 * q
+    z0 = _spam_bias(q)
     if z0 <= 0.0:
         return 0.0
     return [_spam_readout(z0, r.terminal) for r in _sql_results(fam, ns, w, variant, z0)]
@@ -553,10 +531,22 @@ def _qec_transfer(p: float) -> np.ndarray:
     return (1.0 - p) * _QEC_M0 + p * _QEC_M1
 
 
-def _qec_result(p: float, n, z: np.ndarray) -> ProtocolResult:
-    """The result of a QEC run that ends in ``z = (vec rho, vec drho)``."""
-    qfi = qfi_state(DensityState(z[:16].reshape(4, 4), z[16:].reshape(4, 4)))
-    return ProtocolResult(n=n, qfi_or_fi=qfi, meta={"p": p, "code": "two_qubit_repetition"})
+def _qec_rows(p: float, ns) -> list:
+    """:func:`qec_repetition_sim`'s checks, then its result at each n of ``ns``, all rows
+    advanced together."""
+    if not 0.0 < p <= 0.5:
+        raise DomainError("p must lie in (0, 1/2]")
+    if ns.min() < 0:
+        raise DomainError("n must be nonnegative")
+    z = _advance(_qec_transfer(p) - np.eye(32), ns, _QEC_START)
+    return [
+        ProtocolResult(
+            n=int(n),
+            qfi_or_fi=qfi_state(DensityState(row[:16].reshape(4, 4), row[16:].reshape(4, 4))),
+            meta={"p": p, "code": "two_qubit_repetition"},
+        )
+        for n, row in zip(ns, z)
+    ]
 
 
 def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
@@ -569,22 +559,13 @@ def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
     step superoperator, and the terminal QFI reproduces
     ``4 (1-2p)^2 n^2``.
     """
-    if not 0.0 < p <= 0.5:
-        raise DomainError("p must lie in (0, 1/2]")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return _qec_result(p, n, _advance(_qec_transfer(p) - np.eye(32), n, _QEC_START))
+    return _qec_rows(p, np.array([n]))[0]
 
 
 @_rows_form
 def qec_repetition_rows(p: float, ns):
     """The QFI of :func:`qec_repetition_sim` at each n of ``ns``."""
-    if not 0.0 < p <= 0.5:
-        raise DomainError("p must lie in (0, 1/2]")
-    if (ns < 0).any():
-        raise DomainError("n must be nonnegative")
-    z = _advance(_qec_transfer(p) - np.eye(32), ns, _QEC_START)
-    return [_qec_result(p, n, row).qfi_or_fi for n, row in zip(ns, z)]
+    return [r.qfi_or_fi for r in _qec_rows(p, ns)]
 
 
 def qec_analytic(p: float, n: int) -> float:

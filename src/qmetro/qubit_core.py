@@ -266,32 +266,29 @@ class PauliTransferMap:
 
 @dataclass(frozen=True, init=False)
 class KrausSet:
-    """Kraus operators of a trace-preserving channel (dimension 2 or 4)."""
+    """Kraus operators of a trace-preserving channel (dimension 2 or 4), stacked once into
+    the read-only ``(r, d, d)`` array ``ops``."""
 
-    ops: tuple
+    ops: np.ndarray
 
     def __init__(self, ops):
-        mats = tuple(np.asarray(op, dtype=complex) for op in ops)
+        mats = [np.asarray(op, dtype=complex) for op in ops]
         if not mats:
             raise ValidationError("KrausSet needs at least one operator")
         dim = mats[0].shape[0]
         if dim not in (2, 4) or any(m.shape != (dim, dim) for m in mats):
             raise ValidationError("Kraus operators must all be 2x2 or all 4x4")
-        total = sum(m.conj().T @ m for m in mats)
+        stack = np.array(mats)
+        total = (np.swapaxes(stack.conj(), 1, 2) @ stack).sum(0)
         # the one trace-preservation test; "not <=" also rejects a nan residual
         if not np.linalg.norm(total - np.eye(dim)) <= 1e-10:
             raise ValidationError("sum_i K_i^dag K_i deviates from identity beyond 1e-10")
-        object.__setattr__(self, "ops", mats)
+        stack.flags.writeable = False
+        object.__setattr__(self, "ops", stack)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
-
-    def __iter__(self):
-        return iter(self.ops)
-
-    def __len__(self):
-        return len(self.ops)
+        return self.ops.shape[1]
 
 
 @dataclass(frozen=True)
@@ -370,20 +367,19 @@ def ptm_from_kraus(ks: KrausSet) -> PauliTransferMap:
     return PauliTransferMap(m[1:, 0], m[1:, 1:], validated=True)
 
 
-def ptm_derivative_from_kraus(pairs) -> tuple[np.ndarray, np.ndarray]:
+def ptm_derivative_from_kraus(k_ops, dk_ops) -> tuple[np.ndarray, np.ndarray]:
     """Derivative (dt, dT) of the Pauli transfer map of a one-parameter channel.
 
-    ``pairs`` is an iterable of ``(K_i, dK_i)`` at the true parameter value;
-    the 4x4 derivative is ``(M(dK, K) + M(K, dK))/2 = Re M(dK, K)``.
+    ``k_ops`` and ``dk_ops`` are the stacked ``K_i`` and ``dK_i`` at the true
+    parameter value; the 4x4 derivative is ``(M(dK, K) + M(K, dK))/2 = Re M(dK, K)``.
     """
-    ks, dks = zip(*pairs)
-    m = pauli_sandwich(dks, ks).real
+    m = pauli_sandwich(dk_ops, k_ops).real
     return m[1:, 0], m[1:, 1:]
 
 
 def choi_from_kraus(ks: KrausSet) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_i vec(K_i) vec(K_i)^dag`` (row-major vec)."""
-    v = np.reshape(ks.ops, (len(ks), -1))
+    v = ks.ops.reshape(len(ks.ops), -1)
     return v.T @ v.conj()
 
 

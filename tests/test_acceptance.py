@@ -257,8 +257,7 @@ def _grid_plus_fd_oracle(ch, rng):
     by Nelder-Mead polish of the raw largest-eigenvalue objective, plus a
     finite-difference Bures lower bound at the maximally entangled input.
     """
-    k_ops = np.array([p.k for p in ch.kraus])
-    dk_ops = np.array([p.dk for p in ch.kraus])
+    k_ops, dk_ops = ch.k_ops, ch.dk_ops
 
     def value(x):
         h = np.array([[x[0], x[2] + 1j * x[3]], [x[2] - 1j * x[3], x[1]]])

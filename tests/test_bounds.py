@@ -48,11 +48,10 @@ IDENT = PauliTransferMap.identity()
 def loop_gauged_pairs(ch, gauge):
     """Oracle: ``dK~_i = dK_i - i sum_j h_ij K_j`` one Kraus index at a time."""
     h = gauge.h
-    ks = [p.k for p in ch.kraus]
+    ks = ch.k_ops
     out = []
-    for i, pair in enumerate(ch.kraus):
-        dk = pair.dk - 1j * sum(h[i, j] * ks[j] for j in range(len(ks)))
-        out.append((pair.k, dk))
+    for i, (k, dk) in enumerate(zip(ks, ch.dk_ops)):
+        out.append((k, dk - 1j * sum(h[i, j] * ks[j] for j in range(len(ks)))))
     return out
 
 
@@ -105,7 +104,7 @@ def matrix_extension_bound(ch, steps):
         base, fam = dephasing_channel(ch), ch
     else:
         base, fam = ch, None
-    ks = [p.k for p in base.kraus]
+    ks = base.k_ops
     iota = I2.copy()
     gamma = np.zeros((2, 2), dtype=complex)
     alphas, crosses, norms = [], [], []
@@ -210,7 +209,7 @@ class TestExtensionBound:
         from qmetro.protocols import ControlSequence, simulate_sequence
 
         ch = rotated_family(depolarizing_kraus(0.5), X)
-        zero_gauge = GaugeMatrix(np.zeros((len(ch.kraus), len(ch.kraus))))
+        zero_gauge = GaugeMatrix(np.zeros((len(ch.k_ops), len(ch.k_ops))))
         n = 30
         controls = [random_unital_ptm(rng) for _ in range(n)]
         total = extension_bound(ch, [ExtensionStep(c, zero_gauge) for c in controls]).total
@@ -241,7 +240,7 @@ class TestPauliCoordinateOracle:
         channels = [rotated_family(depolarizing_kraus(0.5), X)]
         channels += [random_one_param_channel(rng, env=env) for env in (2, 3, 4)]
         for ch in channels:
-            r = len(ch.kraus)
+            r = len(ch.k_ops)
             gauges = []
             for _ in range(3):
                 h = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
@@ -530,4 +529,13 @@ class TestCeilingOverflow:
             warnings.simplefilter("always")
             with pytest.raises(DomainError):
                 rgnks_violated_bound(fam)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_contractive_bound_raises_domain_error(self):
+        # F(E) is about 1.6e293 and (1 - sqrt(eta))^2 about 2.5e-17: the ceiling overflows
+        ch = rotated_family(depolarizing_kraus(1 - 1e-8), 1e146 * X)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="overflow"):
+                contractive_bound(ch)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -7,8 +7,8 @@ from qmetro.channel_model import (
     AmbiguousClassificationError,
     ChannelKind,
     DephasingFamily,
-    KrausPair,
     NotApplicableError,
+    OneParamChannel,
     canonical_pauli_form,
     classify,
     dephasing_channel,
@@ -76,22 +76,23 @@ class TestClassify:
 class TestDephasingChannel:
     def test_example_family_kraus(self):
         ch = dephasing_channel(x_rotation_dephasing(0.1))
-        k0, k1 = ch.kraus
-        assert np.allclose(k0.k, np.sqrt(0.9) * I2)
-        assert np.allclose(k1.k, np.sqrt(0.1) * Z)
-        assert np.allclose(k0.dk, -1j * np.sqrt(0.9) * X)
-        assert np.allclose(k1.dk, -1j * np.sqrt(0.1) * Z @ (-X))
+        k0, k1 = ch.k_ops
+        dk0, dk1 = ch.dk_ops
+        assert np.allclose(k0, np.sqrt(0.9) * I2)
+        assert np.allclose(k1, np.sqrt(0.1) * Z)
+        assert np.allclose(dk0, -1j * np.sqrt(0.9) * X)
+        assert np.allclose(dk1, -1j * np.sqrt(0.1) * Z @ (-X))
 
     def test_parameter_independent(self):
         fam = DephasingFamily(0.25, 0.0, np.zeros((2, 2)), np.zeros((2, 2)))
         ch = dephasing_channel(fam)
-        assert all(np.allclose(p.dk, 0) for p in ch.kraus)
+        assert np.allclose(ch.dk_ops, 0)
 
     def test_pure_p_drive(self):
         fam = DephasingFamily(0.1, 1.0, np.zeros((2, 2)), np.zeros((2, 2)))
         ch = dephasing_channel(fam)
-        assert np.allclose(ch.kraus[0].dk, -I2 / (2 * np.sqrt(0.9)))
-        assert np.allclose(ch.kraus[1].dk, Z / (2 * np.sqrt(0.1)))
+        assert np.allclose(ch.dk_ops[0], -I2 / (2 * np.sqrt(0.9)))
+        assert np.allclose(ch.dk_ops[1], Z / (2 * np.sqrt(0.1)))
 
     def test_p_out_of_range(self):
         with pytest.raises(DomainError):
@@ -112,12 +113,16 @@ class TestDephasingChannel:
 
 class TestStackedKraus:
     def test_arrays_equal_stacked_pairs(self, rng):
-        channels = [random_one_param_channel(rng, env=env) for env in (1, 2, 4)]
-        channels.append(dephasing_channel(random_dephasing_family(rng)))
-        for ch in channels:
-            assert np.array_equal(ch.k_ops, np.array([p.k for p in ch.kraus]))
-            assert np.array_equal(ch.dk_ops, np.array([p.dk for p in ch.kraus]))
-            assert ch.k_ops.shape == (len(ch.kraus), ch.dim, ch.dim) == ch.dk_ops.shape
+        for env in (1, 2, 4):
+            # a rotated channel, dK_i = -i G K_i, is trace preserving at first order
+            ks = random_cptp_kraus(rng, env=env)
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            pairs = [(k, -1j * (g + g.conj().T) @ k) for k in ks.ops]
+            ch = OneParamChannel(pairs)
+            assert np.array_equal(ch.k_ops, np.array([k for k, _ in pairs]))
+            assert np.array_equal(ch.dk_ops, np.array([dk for _, dk in pairs]))
+            assert ch.k_ops.shape == (env, 2, 2) == ch.dk_ops.shape
+            assert ch.k_ops is ch.kraus_set().ops
 
     def test_arrays_are_read_only(self):
         ch = dephasing_channel(x_rotation_dephasing(0.1))
@@ -129,13 +134,31 @@ class TestStackedKraus:
         assert np.allclose(ch.k_ops[0], np.sqrt(0.9) * I2)
 
 
-class TestKrausPair:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValidationError, match="non-finite"):
-            KrausPair(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
-        with pytest.raises(ValidationError, match="non-finite"):
-            KrausPair(I2, np.array([[0.0, 0.0], [bad, 0.0]]))
+def _with_entry(op, value):
+    out = np.array(op, dtype=complex)
+    out[1, 0] = value
+    return out
+
+
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+ZERO2 = np.zeros((2, 2))
+
+
+class TestOneParamChannelRejects:
+    CASES = {
+        "empty": ([], "at least one operator"),
+        "shape": ([(I2, np.zeros((4, 4)))], "must share a shape"),
+        **{f"k_{name}": ([(_with_entry(I2, bad), ZERO2)], "non-finite") for name, bad in NON_FINITE.items()},
+        **{f"dk_{name}": ([(I2, _with_entry(ZERO2, bad))], "non-finite") for name, bad in NON_FINITE.items()},
+        "not_tp": ([(1.01 * I2, ZERO2)], "deviates from identity"),
+        "first_order": ([(I2, 0.1 * Z)], "first order"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejected_with_message(self, case):
+        pairs, message = self.CASES[case]
+        with pytest.raises(ValidationError, match=message):
+            OneParamChannel(pairs)
 
 
 # Oracle: the Kraus-span projection the shared least squares replaced.  The span

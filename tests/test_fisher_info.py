@@ -61,7 +61,11 @@ def damping_set(gamma):
 
 def compose(first, second):
     return OneParamChannel(
-        [(q.k @ p.k, q.dk @ p.k + q.k @ p.dk) for p in first.kraus for q in second.kraus]
+        [
+            (k2 @ k1, dk2 @ k1 + k2 @ dk1)
+            for k1, dk1 in zip(first.k_ops, first.dk_ops)
+            for k2, dk2 in zip(second.k_ops, second.dk_ops)
+        ]
     )
 
 
@@ -326,8 +330,8 @@ class TestChannelQfiAncilla:
             lam, vecs = np.linalg.eigh(res.rho_opt)
             psi = (vecs * np.sqrt(np.clip(lam, 0.0, None))).reshape(-1)
             proj = np.outer(psi, psi.conj())
-            ks = [np.kron(p.k, I2) for p in ch.kraus]
-            dks = [np.kron(p.dk, I2) for p in ch.kraus]
+            ks = [np.kron(k, I2) for k in ch.k_ops]
+            dks = [np.kron(dk, I2) for dk in ch.dk_ops]
             rho = apply_kraus(ks, proj)
             drho = sum(dk @ proj @ k.conj().T + k @ proj @ dk.conj().T for k, dk in zip(ks, dks))
             with warnings.catch_warnings():
@@ -339,7 +343,7 @@ class TestChannelQfiAncilla:
     def test_idle_qubit_leaves_value(self, rng):
         for _ in range(3):
             ch = random_one_param_channel(rng, env=2)
-            wide = OneParamChannel([(np.kron(p.k, I2), np.kron(p.dk, I2)) for p in ch.kraus])
+            wide = OneParamChannel(zip(np.kron(ch.k_ops, I2), np.kron(ch.dk_ops, I2)))
             narrow, extended = channel_qfi_ancilla(ch), channel_qfi_ancilla(wide)
             # both certified intervals [value - gap, value] hold the same QFI;
             # 1e-12 relative covers roundoff when both gaps are near zero
@@ -385,8 +389,7 @@ class TestChannelQfiNoAncilla:
         ch = dephasing_channel(fam)
         value = channel_qfi_no_ancilla(ch)
         # dense-grid oracle: maximize the output-state QFI directly
-        k_ops = [p.k for p in ch.kraus]
-        dk_ops = [p.dk for p in ch.kraus]
+        k_ops, dk_ops = ch.k_ops, ch.dk_ops
         best = 0.0
         n_grid = 10_000
         idx = np.arange(n_grid) + 0.5

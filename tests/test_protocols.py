@@ -15,7 +15,6 @@ from qmetro.fisher_info import povm_fi, qfi_bloch, qfi_state
 from qmetro.protocols import (
     _QEC_START,
     SQL_VARIANTS,
-    BlochKernel,
     ControlSequence,
     no_control_fixed_point,
     no_control_rows,
@@ -33,6 +32,7 @@ from qmetro.protocols import (
     sql_protocol,
     sql_protocol_rows,
     _advance,
+    _lifted_kernel,
     _qec_transfer,
     _step_offsets,
 )
@@ -57,12 +57,13 @@ POLE = BlochState([0.0, 0.0, 1.0], np.zeros(3))
 
 def step_loop(fam, controls, v0, n):
     """Oracle: the per-step (v, dv) update, one channel use then one control at a time."""
-    kernel = BlochKernel.from_family(fam)
+    k = fam.transfer_matrix
+    t, T, dt, dT = k[:3, 6], k[:3, :3], k[3:6, 6], k[3:6, :3]
     v, dv = np.array(v0.v), np.array(v0.dv)
     for k in range(n):
         c = controls.maps[0 if controls.constant else k]
-        v_mid = kernel.t + kernel.T @ v
-        dv_mid = kernel.dt + kernel.dT @ v + kernel.T @ dv
+        v_mid = t + T @ v
+        dv_mid = dt + dT @ v + T @ dv
         v, dv = c.t + c.T @ v_mid, c.T @ dv_mid
     return v, dv
 
@@ -226,6 +227,14 @@ class TestTransferMatrix:
                 want = qfi_state(DensityState(rho, drho))
                 assert abs(qec_repetition_sim(p, n).qfi_or_fi - want) <= 1e-12 * max(want, 1.0)
 
+    @pytest.mark.parametrize("n", [10**7, 10**8, 10**12])
+    def test_qec_at_huge_n_is_exact_without_warning(self, n):
+        # drho grows like n: its roundoff on the excluded eigenvalue pairs must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qfi = qec_repetition_sim(0.1, n).qfi_or_fi
+        assert rel_dist(qfi, qec_analytic(0.1, n)) <= 1e-12
+
     def test_qec_at_large_n(self):
         # the syndrome projectors are exact, so the trace cannot drift with n
         for p in (0.05, 0.13, 0.3):
@@ -335,46 +344,70 @@ class TestControlSequence:
         with pytest.raises(Exception):
             simulate_sequence(fam, seq, POLE, 5)
 
+    def test_constant_sequence_holds_one_map(self):
+        # simulate_sequence runs a constant sequence on its first map only: [I, R] marked
+        # constant would give the identity-only QFI, not that of the per-step [I, R, I, R]
+        from qmetro.qubit_core import ValidationError
+
+        fam = x_rotation_dephasing(0.1)
+        quarter_z = PauliTransferMap(np.zeros(3), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        pair = [PauliTransferMap.identity(), quarter_z]
+        with pytest.raises(ValidationError, match="constant ControlSequence holds one map"):
+            ControlSequence(pair, constant=True)
+        identity_only = simulate_sequence(fam, ControlSequence.identity(), POLE, 4).qfi_or_fi
+        per_step = simulate_sequence(fam, ControlSequence(pair * 2, constant=False), POLE, 4).qfi_or_fi
+        assert np.isclose(identity_only, 34.857216, rtol=1e-12)
+        assert np.isclose(per_step, 18.268416, rtol=1e-12)
+
+
+def kernel_blocks(k):
+    """``(t, T, dt, dT)`` of a 7x7 kernel ``[[T, 0, t], [dT, T, dt], [0, 0, 1]]``."""
+    return k[:3, 6], k[:3, :3], k[3:6, 6], k[3:6, :3]
+
 
 class TestBlochKernel:
+    """The 7x7 kernel of a channel's Bloch data, as :func:`_lifted_kernel` builds it."""
+
     def test_channel_kernel_matches_analytic(self):
         # X-rotation composed with depolarizing: T = lam I, dT = [2 e_x]_x lam I
         from qmetro.channel_model import depolarizing_kraus, rotated_family
-        from qmetro.protocols import BlochKernel
 
         lam = 0.5
-        ch = rotated_family(depolarizing_kraus(lam), X)
-        kernel = BlochKernel.from_channel(ch)
+        k = _lifted_kernel(rotated_family(depolarizing_kraus(lam), X))
+        t, T, dt, dT = kernel_blocks(k)
         cross_x = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 2.0, 0.0]])
-        assert np.allclose(kernel.T, lam * np.eye(3), atol=1e-12)
-        assert np.allclose(kernel.t, 0, atol=1e-12)
-        assert np.allclose(kernel.dT, cross_x * lam, atol=1e-12)
-        assert np.allclose(kernel.dt, 0, atol=1e-12)
+        assert np.allclose(T, lam * np.eye(3), atol=1e-12)
+        assert np.allclose(t, 0, atol=1e-12)
+        assert np.allclose(dT, cross_x * lam, atol=1e-12)
+        assert np.allclose(dt, 0, atol=1e-12)
+        assert np.array_equal(k[:3, 3:6], np.zeros((3, 3))) and np.array_equal(k[6], np.eye(7)[6])
+        assert np.array_equal(k[3:6, 3:6], T)
 
     def test_family_kernel_is_exact(self, rng):
         # the Kraus-built kernel has T[2,2] = 1 - 1.1e-16 on TestTransferMatrix.FAM,
         # which moves the g1x SQL QFI by 2e-8 relative at n = 1e5: keep the exact one
-        from qmetro.protocols import BlochKernel
-
         for fam in [TestTransferMatrix.FAM] + [random_dephasing_family(rng) for _ in range(20)]:
-            kernel = BlochKernel.from_family(fam)
-            assert kernel.T[2, 2] == 1.0
-            assert np.array_equal(kernel.T - np.diag(np.diag(kernel.T)), np.zeros((3, 3)))
-            assert not kernel.t.any() and not kernel.dt.any()
-            assert np.array_equal(kernel.lifted(), fam.transfer_matrix)
+            k = _lifted_kernel(fam)
+            assert k is fam.transfer_matrix
+            t, T, dt, _ = kernel_blocks(k)
+            assert T[2, 2] == 1.0
+            assert np.array_equal(T - np.diag(np.diag(T)), np.zeros((3, 3)))
+            assert not t.any() and not dt.any()
 
     def test_family_and_channel_kernels_agree(self, rng):
         from qmetro.channel_model import dephasing_channel
-        from qmetro.protocols import BlochKernel
 
         for _ in range(50):
             fam = random_dephasing_family(rng)
-            a = BlochKernel.from_family(fam)
-            b = BlochKernel.from_channel(dephasing_channel(fam))
-            assert np.allclose(a.T, b.T, atol=1e-10)
-            assert np.allclose(a.dT, b.dT, atol=1e-10)
-            assert np.allclose(a.t, b.t, atol=1e-10)
-            assert np.allclose(a.dt, b.dt, atol=1e-10)
+            a = _lifted_kernel(fam)
+            b = _lifted_kernel(dephasing_channel(fam))
+            assert np.allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_rejects_other_descriptions(self):
+        from qmetro.qubit_core import ValidationError
+
+        with pytest.raises(ValidationError, match="unsupported channel description"):
+            _lifted_kernel(PauliTransferMap.identity())
 
 
 class TestSqlProtocol:

@@ -132,8 +132,9 @@ class TestPauliSandwich:
         for env in (1, 2, 3, 4):
             for _ in range(25):
                 ks = random_cptp_kraus(rng, env=env)
-                pairs = list(zip(ks.ops, random_ops(rng, env)))
-                dt, dT = ptm_derivative_from_kraus(pairs)
+                dks = np.array(random_ops(rng, env))
+                pairs = list(zip(ks.ops, dks))
+                dt, dT = ptm_derivative_from_kraus(ks.ops, dks)
                 dt_loop, dT_loop = loop_ptm_derivative(pairs)
                 scale = max(np.abs(dT_loop).max(), np.abs(dt_loop).max(), 1.0)
                 assert np.abs(dt - dt_loop).max() <= 1e-14 * scale
