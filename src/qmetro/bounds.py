@@ -19,7 +19,7 @@ and ``gamma`` are real 4-vectors, the channel and each control 4x4 maps
 ``b`` of ``beta`` and the map ``ubeta = U iota`` (:func:`step_coordinates`).
 A step adds ``2 iota.a`` and ``4 gamma.b``, sets ``gamma <- C (E gamma + U iota)``
 and ``iota <- C E iota``, and ``||gamma||_1 = max(|c_0|, |c_(1:)|)``.  The
-default gauge depends on ``iota`` and is recomputed only when ``iota`` changes.
+default gauge is built from ``iota``'s coordinates, only when they change.
 
 Closed-form constant ceilings are provided for dephasing families violating
 the RGNKS condition and for strictly contractive channels, together with the
@@ -45,8 +45,6 @@ from .qubit_core import (
     PauliTransferMap,
     ValidationError,
     _overflow_is_domain_error,
-    pauli_compose,
-    pauli_decompose,
     pauli_sandwich,
     ptm_from_kraus,
     require_cptp,
@@ -63,9 +61,7 @@ __all__ = [
     "bounded_ancilla_multiplier",
     "bloch_inequality_check",
     "BlochInequalityReport",
-    "gauged_pairs",
     "step_coordinates",
-    "step_operators",
 ]
 
 
@@ -114,15 +110,15 @@ def unital_gauge(fam: DephasingFamily) -> GaugeMatrix:
     return GaugeMatrix(np.array([[0.0, off], [off, 0.0]], dtype=complex))
 
 
-def nonunital_gauge(fam: DephasingFamily, iota_prev: np.ndarray) -> GaugeMatrix:
-    """Gauge for the not-too-non-unital regime, built from ``iota_{k-1}``.
+def nonunital_gauge(fam: DephasingFamily, iota: np.ndarray) -> GaugeMatrix:
+    """Gauge for the not-too-non-unital regime, built from the coordinates ``Tr(sigma_j iota_{k-1})``.
 
     Solves the three linear conditions that zero the trace and Z-trace of the
-    cross operator and minimize the alpha trace.  Requires
-    ``|Tr(iota Z)/2| < 1``; reduces to :func:`unital_gauge` at ``iota = I``.
+    cross operator and minimize the alpha trace.  Requires ``|Tr(iota Z)/2| < 1``;
+    reduces to :func:`unital_gauge` at ``iota = I``, coordinates ``(2, 0, 0, 0)``.
     """
     p = fam.p
-    iota, gp, gm = pauli_decompose(iota_prev), fam.g_plus_coords, fam.g_minus_coords
+    gp, gm = fam.g_plus_coords, fam.g_minus_coords
     z = iota[3] / 2.0
     if abs(z) >= 1.0:
         raise DomainError(f"|Tr(iota Z)/2| = {abs(z):.6g} >= 1: control too non-unital")
@@ -142,33 +138,18 @@ def nonunital_gauge(fam: DephasingFamily, iota_prev: np.ndarray) -> GaugeMatrix:
 # ---------------------------------------------------------------------------
 
 
-def gauged_pairs(ch: OneParamChannel, gauge: GaugeMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Apply the Kraus-representation gauge: ``dK~_i = dK_i - i sum_j h_ij K_j``."""
+def step_coordinates(ch: OneParamChannel, gauge: GaugeMatrix):
+    """Pauli coordinates ``(a, b, U)`` of ``alpha``, ``beta`` and ``iota -> ubeta`` under ``gauge``.
+
+    With the gauged derivatives ``dK~ = dK - i h K`` and the sandwich
+    ``m = M(dK~, K)``: ``a = M(dK~, dK~)[0]``, ``U = -Im(m)/2`` and ``b = -Im(m[0]) = 2 U[0]``.
+    """
     r = len(ch.k_ops)
     if gauge.h.shape != (r, r):
         raise ValidationError(f"gauge must be {r}x{r} for this channel, got {gauge.h.shape}")
-    return list(zip(ch.k_ops, _gauged_derivatives(ch.k_ops, ch.dk_ops, gauge.h)))
-
-
-def step_coordinates(pairs):
-    """Pauli coordinates ``(a, b, U)`` of ``alpha``, ``beta`` and ``iota -> ubeta``.
-
-    With the sandwich ``m = M(dK~, K~)``: ``a = M(dK~, dK~)[0]``,
-    ``U = -Im(m)/2`` and ``b = -Im(m[0]) = 2 U[0]``.
-    """
-    ks, dks = zip(*pairs)
-    u = -0.5 * pauli_sandwich(dks, ks).imag
+    dks = _gauged_derivatives(ch.k_ops, ch.dk_ops, gauge.h)
+    u = -0.5 * pauli_sandwich(dks, ch.k_ops).imag
     return pauli_sandwich(dks, dks)[0].real, 2.0 * u[0], u
-
-
-def step_operators(pairs, iota: np.ndarray):
-    """``(alpha, beta, ubeta)`` of one step as 2x2 operators, for the given ``iota``.
-
-    ``alpha`` and ``beta`` are invariant under the control; ``ubeta`` is the
-    cross operator the control maps (see :func:`step_coordinates`).
-    """
-    a, b, u = step_coordinates(pairs)
-    return pauli_compose(a), pauli_compose(b), pauli_compose(u @ pauli_decompose(iota))
 
 
 @_overflow_is_domain_error
@@ -195,8 +176,8 @@ def extension_bound(ch, steps) -> BoundReport:
             raise ValidationError("explicit gauges are required for general one-parameter channels")
         key = id(step.gauge) if step.gauge is not None else iota.tobytes()
         if key != gauge_key:
-            gauge = step.gauge if step.gauge is not None else nonunital_gauge(fam, pauli_compose(iota))
-            a, b, u = step_coordinates(gauged_pairs(base, gauge))
+            gauge = step.gauge if step.gauge is not None else nonunital_gauge(fam, iota)
+            a, b, u = step_coordinates(base, gauge)
             gauge_key = key
         if step.control is not control:
             control, c = step.control, step.control.matrix
@@ -252,12 +233,13 @@ def contractive_bound(ch: OneParamChannel) -> float:
     return float(f_channel / (1.0 - np.sqrt(eta)) ** 2)
 
 
+@_overflow_is_domain_error
 def bounded_ancilla_multiplier(n_ancilla: int) -> float:
     """Factor ``2^{n_A}`` carried by the linear QFI bound with ``n_A`` noiseless ancillas.
 
     With unital controls acting across the probe and a bounded ancilla, the
     channel-extension bound grows by at most this factor; the recursion itself
-    is not extended to the enlarged system here.
+    is not extended to the enlarged system here.  Raises :class:`DomainError` when it overflows.
     """
     if n_ancilla < 0:
         raise DomainError("ancilla count must be nonnegative")

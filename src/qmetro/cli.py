@@ -478,7 +478,7 @@ def main(argv=None) -> int:
     except _IoFailure as exc:
         print(f"error:io:{exc}", file=sys.stderr)
         return _EXIT_IO
-    except (ValueError, FloatingPointError, fisher_info.ConvergenceError) as exc:
+    except (ValueError, ArithmeticError, fisher_info.ConvergenceError) as exc:
         print(f"error:domain:{exc}", file=sys.stderr)
         return _EXIT_DOMAIN
 

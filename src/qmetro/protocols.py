@@ -255,6 +255,11 @@ def _bloch_result(n, z: np.ndarray, trajectory=None) -> ProtocolResult:
     return ProtocolResult(n=n, qfi_or_fi=qfi_bloch((v, dv)), terminal=BlochState(v, dv), trajectory=trajectory)
 
 
+def _require_steps(n_min) -> None:
+    if n_min < 0:
+        raise DomainError("n must be nonnegative")
+
+
 def simulate_sequence(
     fam,
     controls: ControlSequence,
@@ -268,8 +273,7 @@ def simulate_sequence(
     trajectory recording costs one 7x7 binary power; otherwise the lifted
     steps are applied one at a time.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    _require_steps(n)
     maps = controls.maps[: 1 if controls.constant else n]
     steps = _step_offsets(fam, [m.t for m in maps], [m.T for m in maps])
     controls.require_length(n)
@@ -290,8 +294,7 @@ def simulate_sequence(
 def _constant_rows(fam, ns, v0: BlochState, shifts, rotations) -> list:
     """:func:`simulate_sequence`'s results at each n of ``ns`` under a constant control:
     one ``(t, T)`` for all rows, or one per row (``rotations`` of shape (N, 3, 3))."""
-    if (ns < 0).any():
-        raise DomainError("n must be nonnegative")
+    _require_steps(ns.min())
     steps = _step_offsets(fam, shifts, rotations)
     z = _advance(steps[0] if len(steps) == 1 else steps, ns, _start(v0))
     return [_bloch_result(n, row) for n, row in zip(ns, z)]
@@ -406,8 +409,7 @@ def _pole_interval(fam: DephasingFamily, interval: int, n_min: int) -> float:
     once ``interval`` and the smallest step count ``n_min`` pass their checks."""
     if interval < 1:
         raise DomainError("interval must be at least 1")
-    if n_min < 0:
-        raise DomainError("n must be nonnegative")
+    _require_steps(n_min)
     return simulate_sequence(fam, ControlSequence.identity(), _axis_state(1.0), interval).qfi_or_fi
 
 
@@ -439,10 +441,13 @@ def repeated_measurement_rows(fam: DephasingFamily, ns, interval: int):
     return [ProtocolResult(n=n, qfi_or_fi=int(n) // interval * per_interval).qfi_or_fi for n in ns]
 
 
-def _spam_bias(q: float) -> float:
-    """The bias ``z0 = 1 - 2q`` of the SPAM input and readout, once ``q`` passes its check."""
+def _spam_bias(fam: DephasingFamily, n_min: int, w: float, q: float, variant: str) -> float:
+    """The bias ``z0 = 1 - 2q`` of the SPAM input and readout, once ``q`` passes its check.  At
+    ``q = 1/2`` (``z0 = 0``, a zero FI) the SQL run's checks run here, all but ``z0``'s."""
     if not 0.0 <= q <= 0.5:
         raise DomainError("q must lie in [0, 1/2]")
+    if q == 0.5:
+        _sql_trace(fam, variant, w, 1.0, n_min)
     return 1.0 - 2.0 * q
 
 
@@ -466,7 +471,7 @@ def spam_fi(
     on the terminal Bloch pair is ``s'^2 / (1 - s^2)`` with ``s = (1-2q) v_z`` and
     ``s' = (1-2q) dv_z``; a noiseless readout at the pole (``s^2 = 1``) gets ``s'^2``.
     """
-    z0 = _spam_bias(q)
+    z0 = _spam_bias(fam, n, w, q, variant)
     if z0 <= 0.0:
         return 0.0  # input is maximally mixed and the POVM element is I/2
     return _spam_readout(z0, sql_protocol(fam, n, w, variant=variant, z0=z0).terminal)
@@ -475,7 +480,7 @@ def spam_fi(
 @_rows_form
 def spam_fi_rows(fam: DephasingFamily, ns, w: float, q: float, variant: str = "g0x"):
     """:func:`spam_fi` at each n of ``ns``."""
-    z0 = _spam_bias(q)
+    z0 = _spam_bias(fam, ns.min(), w, q, variant)
     if z0 <= 0.0:
         return 0.0
     return [_spam_readout(z0, r.terminal) for r in _sql_results(fam, ns, w, variant, z0)]
@@ -536,8 +541,7 @@ def _qec_rows(p: float, ns) -> list:
     advanced together."""
     if not 0.0 < p <= 0.5:
         raise DomainError("p must lie in (0, 1/2]")
-    if ns.min() < 0:
-        raise DomainError("n must be nonnegative")
+    _require_steps(ns.min())
     z = _advance(_qec_transfer(p) - np.eye(32), ns, _QEC_START)
     return [
         ProtocolResult(
@@ -568,13 +572,13 @@ def qec_repetition_rows(p: float, ns):
     return [r.qfi_or_fi for r in _qec_rows(p, ns)]
 
 
+@_overflow_is_domain_error
 def qec_analytic(p: float, n: int) -> float:
-    """Heisenberg-limited QFI ``4 (1-2p)^2 n^2`` of the repetition-code protocol."""
+    """Heisenberg-limited QFI ``4 (1-2p)^2 n^2`` of the repetition code; :class:`DomainError` on overflow."""
     if not 0.0 < p <= 0.5:
         raise DomainError("p must lie in (0, 1/2]")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return 4.0 * (1.0 - 2.0 * p) ** 2 * n * n
+    _require_steps(n)
+    return float(np.float64(4.0) * (1.0 - 2.0 * p) ** 2 * n * n)  # numpy scalars obey the error state
 
 
 @_overflow_is_domain_error

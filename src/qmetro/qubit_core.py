@@ -84,14 +84,14 @@ class DomainError(ValueError):
 
 
 def _overflow_is_domain_error(fn):
-    """``fn`` with numpy overflow or division by zero raising :class:`DomainError`, not inf or nan."""
+    """``fn`` raising :class:`DomainError` on numpy overflow, division by zero or an int too big for a float."""
 
     @wraps(fn)
     def run(*args, **kwargs):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return fn(*args, **kwargs)
-        except FloatingPointError as exc:
+        except ArithmeticError as exc:  # FloatingPointError and OverflowError
             raise DomainError(f"{exc} in {fn.__name__}: the inputs overflow") from exc
 
     return run

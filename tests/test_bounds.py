@@ -7,11 +7,11 @@ from qmetro.bounds import (
     ExtensionStep,
     bloch_inequality_check,
     contractive_bound,
+    bounded_ancilla_multiplier,
     extension_bound,
-    gauged_pairs,
     nonunital_gauge,
     rgnks_violated_bound,
-    step_operators,
+    step_coordinates,
     unital_gauge,
 )
 from qmetro.channel_model import (
@@ -24,7 +24,7 @@ from qmetro.channel_model import (
     rotated_family,
     x_rotation_dephasing,
 )
-from qmetro.fisher_info import GaugeMatrix
+from qmetro.fisher_info import GaugeMatrix, _gauged_derivatives
 from qmetro.protocols import ControlSequence, simulate_sequence
 from qmetro.qubit_core import (
     I2,
@@ -36,6 +36,8 @@ from qmetro.qubit_core import (
     PauliTransferMap,
     ValidationError,
     apply_kraus,
+    pauli_compose,
+    pauli_decompose,
     ptm_from_kraus,
     random_cptp_kraus,
     random_rotation,
@@ -53,6 +55,17 @@ def loop_gauged_pairs(ch, gauge):
     for i, (k, dk) in enumerate(zip(ks, ch.dk_ops)):
         out.append((k, dk - 1j * sum(h[i, j] * ks[j] for j in range(len(ks)))))
     return out
+
+
+def coordinate_operators(ch, gauge, iota):
+    """``(alpha, beta, ubeta)`` as 2x2 operators, composed from :func:`step_coordinates`."""
+    a, b, u = step_coordinates(ch, gauge)
+    return pauli_compose(a), pauli_compose(b), pauli_compose(u @ pauli_decompose(iota))
+
+
+def random_hermitian_gauge(rng, r):
+    a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    return GaugeMatrix((a + a.conj().T) / 2.0)
 
 
 def identity_steps(fam, n):
@@ -110,7 +123,7 @@ def matrix_extension_bound(ch, steps):
     alphas, crosses, norms = [], [], []
     for k, step in enumerate(steps):
         gauge = step.gauge if step.gauge is not None else trace_nonunital_gauge(fam, iota)
-        alpha, beta, ubeta0 = matrix_step_operators(gauged_pairs(base, gauge), iota)
+        alpha, beta, ubeta0 = matrix_step_operators(loop_gauged_pairs(base, gauge), iota)
         alphas.append(4.0 * np.trace(iota @ alpha).real)
         if k:
             crosses.append(8.0 * np.trace(gamma @ beta).real)
@@ -240,11 +253,7 @@ class TestPauliCoordinateOracle:
         channels = [rotated_family(depolarizing_kraus(0.5), X)]
         channels += [random_one_param_channel(rng, env=env) for env in (2, 3, 4)]
         for ch in channels:
-            r = len(ch.k_ops)
-            gauges = []
-            for _ in range(3):
-                h = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-                gauges.append(GaugeMatrix((h + h.conj().T) / 2.0))
+            gauges = [random_hermitian_gauge(rng, len(ch.k_ops)) for _ in range(3)]
             n = 30
             steps = [ExtensionStep(mildly_nonunital_ptm(rng), gauges[k % 3]) for k in range(n)]
             assert_matches_oracle(extension_bound(ch, steps), matrix_extension_bound(ch, steps))
@@ -269,16 +278,32 @@ class TestPauliCoordinateOracle:
             a = rng.normal(size=3)
             iota = I2 + rng.uniform(0, 0.9) * (a[0] * X + a[1] * Y + a[2] * Z) / np.linalg.norm(a)
             np.testing.assert_allclose(
-                nonunital_gauge(fam, iota).h, trace_nonunital_gauge(fam, iota).h, rtol=1e-12, atol=1e-12
+                nonunital_gauge(fam, pauli_decompose(iota)).h,
+                trace_nonunital_gauge(fam, iota).h,
+                rtol=1e-12,
+                atol=1e-12,
             )
 
     def test_step_operators_match_matrix_forms(self, rng):
         for _ in range(50):
             fam = random_dephasing_family(rng)
-            pairs = gauged_pairs(dephasing_channel(fam), unital_gauge(fam))
+            ch, gauge = dephasing_channel(fam), unital_gauge(fam)
             iota = I2 + 0.5 * X - 0.2 * Z
-            for got, want in zip(step_operators(pairs, iota), matrix_step_operators(pairs, iota)):
-                assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+            got = coordinate_operators(ch, gauge, iota)
+            for got_op, want in zip(got, matrix_step_operators(loop_gauged_pairs(ch, gauge), iota)):
+                assert np.abs(got_op - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    def test_step_coordinates_match_matrix_forms_on_stinespring_channels(self, rng):
+        # every Kraus rank 1-4, random Hermitian gauges and random iota of norm below 1
+        for env in (1, 2, 3, 4):
+            for _ in range(25):
+                ch = random_one_param_channel(rng, env=env)
+                gauge = random_hermitian_gauge(rng, env)
+                a = rng.normal(size=3)
+                iota = I2 + rng.uniform(0, 0.9) * (a[0] * X + a[1] * Y + a[2] * Z) / np.linalg.norm(a)
+                want = matrix_step_operators(loop_gauged_pairs(ch, gauge), iota)
+                for got_op, want_op in zip(coordinate_operators(ch, gauge, iota), want):
+                    assert np.abs(got_op - want_op).max() <= 1e-12 * max(np.abs(want_op).max(), 1.0)
 
     def test_non_cptp_control_rejected(self):
         with pytest.raises(ValidationError, match="not CPTP"):
@@ -327,8 +352,7 @@ class TestUnitalGauge:
         # beta = Tr(G+ X)/2 X + Tr(G+ Y)/2 Y for any family under this gauge
         for _ in range(100):
             fam = random_dephasing_family(rng)
-            pairs = gauged_pairs(dephasing_channel(fam), unital_gauge(fam))
-            _, beta, _ = step_operators(pairs, I2)
+            _, beta, _ = coordinate_operators(dephasing_channel(fam), unital_gauge(fam), I2)
             gp = fam.g_plus
             expected = (
                 np.trace(gp @ X).real / 2 * X + np.trace(gp @ Y).real / 2 * Y
@@ -339,8 +363,7 @@ class TestUnitalGauge:
         # alpha must be the exact identity multiple of the closed form
         for _ in range(100):
             fam = random_dephasing_family(rng)
-            pairs = gauged_pairs(dephasing_channel(fam), unital_gauge(fam))
-            alpha, _, _ = step_operators(pairs, I2)
+            alpha, _, _ = coordinate_operators(dephasing_channel(fam), unital_gauge(fam), I2)
             assert np.linalg.norm(alpha - np.trace(alpha) / 2 * I2) < 1e-10
             p, pdot = fam.p, fam.pdot
             g0z = np.trace(fam.g0 @ Z).real
@@ -358,8 +381,7 @@ class TestUnitalGauge:
     def test_cross_operator_orthogonal_to_noise(self, rng):
         for _ in range(1000):
             fam = random_dephasing_family(rng)
-            pairs = gauged_pairs(dephasing_channel(fam), unital_gauge(fam))
-            _, _, ubeta = step_operators(pairs, I2)
+            _, _, ubeta = coordinate_operators(dephasing_channel(fam), unital_gauge(fam), I2)
             assert abs(np.trace(ubeta)) <= 1e-10
             assert abs(np.trace(Z @ ubeta)) <= 1e-10
 
@@ -368,7 +390,7 @@ class TestNonunitalGauge:
     def test_reduces_to_unital_at_identity(self, rng):
         for _ in range(50):
             fam = random_dephasing_family(rng)
-            a = nonunital_gauge(fam, I2).h
+            a = nonunital_gauge(fam, pauli_decompose(I2)).h
             b = unital_gauge(fam).h
             assert np.allclose(a, b, atol=1e-12)
 
@@ -379,9 +401,8 @@ class TestNonunitalGauge:
             a = rng.normal(size=3)
             a = a / np.linalg.norm(a) * rng.uniform(0, 0.9)
             iota = I2 + a[0] * X + a[1] * Y + a[2] * Z
-            g = nonunital_gauge(fam, iota)
-            pairs = gauged_pairs(ch, g)
-            _, _, ubeta = step_operators(pairs, iota)
+            g = nonunital_gauge(fam, pauli_decompose(iota))
+            _, _, ubeta = coordinate_operators(ch, g, iota)
             assert abs(np.trace(ubeta)) <= 1e-10
             assert abs(np.trace(Z @ ubeta)) <= 1e-10
             # closed-form identities for the transverse components
@@ -400,7 +421,7 @@ class TestNonunitalGauge:
     def test_boundary_iota_rejected(self):
         fam = x_rotation_dephasing(0.1)
         with pytest.raises(DomainError):
-            nonunital_gauge(fam, I2 + Z)  # Tr(iota Z)/2 = 1
+            nonunital_gauge(fam, pauli_decompose(I2 + Z))  # Tr(iota Z)/2 = 1
 
     def test_gamma_growth_with_cptp_controls(self, rng):
         # quantitative shadow of the square-root growth lemma:
@@ -480,38 +501,46 @@ class TestBlochInequality:
 
 class TestBoundedAncilla:
     def test_multiplier(self):
-        from qmetro.bounds import bounded_ancilla_multiplier
-
         assert bounded_ancilla_multiplier(0) == 1.0
         assert bounded_ancilla_multiplier(3) == 8.0
         with pytest.raises(DomainError):
             bounded_ancilla_multiplier(-1)
 
+    def test_overflow_is_domain_error(self):
+        # 2**2000 has no float; the factor must not escape as a bare OverflowError
+        assert bounded_ancilla_multiplier(1023) == 2.0**1023
+        with pytest.raises(DomainError, match="overflow"):
+            bounded_ancilla_multiplier(2000)
+
 
 class TestGaugedPairs:
+    """The stacked gauged derivatives that :func:`step_coordinates` reads, against the loop oracle."""
+
     def test_bit_identical_to_loop_on_dephasing_families(self, rng):
         for _ in range(200):
             fam = random_dephasing_family(rng)
             ch, gauge = dephasing_channel(fam), unital_gauge(fam)
-            for (k, dk), (k_ref, dk_ref) in zip(gauged_pairs(ch, gauge), loop_gauged_pairs(ch, gauge)):
-                assert np.array_equal(k, k_ref) and np.array_equal(dk, dk_ref)
+            got = _gauged_derivatives(ch.k_ops, ch.dk_ops, gauge.h)
+            want = loop_gauged_pairs(ch, gauge)
+            assert len(got) == len(want) == 2
+            for dk, (_, dk_ref) in zip(got, want):
+                assert np.array_equal(dk, dk_ref)
 
     def test_matches_loop_on_stinespring_channels(self, rng):
         for env in (1, 2, 3, 4):
             for _ in range(25):
                 ch = random_one_param_channel(rng, env=env)
-                a = rng.normal(size=(env, env)) + 1j * rng.normal(size=(env, env))
-                gauge = GaugeMatrix((a + a.conj().T) / 2.0)
-                got, want = gauged_pairs(ch, gauge), loop_gauged_pairs(ch, gauge)
+                gauge = random_hermitian_gauge(rng, env)
+                got = _gauged_derivatives(ch.k_ops, ch.dk_ops, gauge.h)
+                want = loop_gauged_pairs(ch, gauge)
                 assert len(got) == len(want) == env
-                for (k, dk), (k_ref, dk_ref) in zip(got, want):
-                    assert np.array_equal(k, k_ref)
+                for dk, (_, dk_ref) in zip(got, want):
                     assert np.abs(dk - dk_ref).max() <= 1e-15 * np.abs(dk_ref).max()
 
     def test_wrong_shape_gauge_rejected(self):
         ch = dephasing_channel(x_rotation_dephasing(0.1))
         with pytest.raises(ValidationError, match=r"gauge must be 2x2 for this channel, got \(3, 3\)"):
-            gauged_pairs(ch, GaugeMatrix(np.zeros((3, 3))))
+            step_coordinates(ch, GaugeMatrix(np.zeros((3, 3))))
 
 
 class TestCeilingOverflow:

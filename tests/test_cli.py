@@ -308,6 +308,34 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["sql", "spam", "repeated", "qec"])
+    def test_huge_step_count_is_4(self, tmp_path, capsys, kind):
+        # a 401-digit n has no float; it must fail as a domain error, not a traceback
+        cfg_path = tmp_path / "huge.conf"
+        cfg_path.write_text(EQ2 + f"protocol.kind = {kind}\nprotocol.w = 0.02\nn = 1 1{'0' * 400}\n")
+        assert main(["--config", str(cfg_path), "sweep"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:domain:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("q", ["0.1", "0.5"])
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            (EQ2 + "protocol.w = -1\n", "w must be positive"),
+            ("family.p = 0.1\nfamily.g0 = 0 0 1\nfamily.g1 = 0 0 1\n", "the driving trace vanishes"),
+        ],
+        ids=["w_negative", "no_signal"],
+    )
+    def test_spam_checks_hold_at_half_rate(self, tmp_path, capsys, q, family, message):
+        # q = 1/2 gives zero rows, but only once the arguments pass the checks q < 1/2 runs
+        cfg_path = tmp_path / "spam.conf"
+        cfg_path.write_text(family + f"protocol.kind = spam\nprotocol.q = {q}\nn = 1..3\n")
+        assert main(["--config", str(cfg_path), "sweep"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:domain:") and message in captured.err
+        assert captured.out == ""
+
     def test_seed_is_retired(self, tmp_path, capsys):
         cfg_path = tmp_path / "s.conf"
         cfg_path.write_text(EQ2 + "seed = 1\n")

@@ -528,6 +528,28 @@ class TestSpamFi:
         fam = DephasingFamily(0.5, 0.0, X, 1.8019858144938336e128 * X)
         assert spam_fi(fam, 1, 1.2318483770848971e-280, 0.0) == pytest.approx(4e-24, rel=1e-9)
 
+    @pytest.mark.parametrize("form", ["per_n", "rows"])
+    @pytest.mark.parametrize(
+        "fam, n, w, variant, error, message",
+        [
+            (x_rotation_dephasing(0.1), 0, 0.01, "g0x", DomainError, "n must be at least 1"),
+            (x_rotation_dephasing(0.1), 10, -1.0, "g0x", DomainError, "w must be positive"),
+            (x_rotation_dephasing(0.1), 10, 0.01, "bad", DomainError, "variant must be one of"),
+            (DephasingFamily(0.1, 0.0, Z, Z.copy()), 10, 0.01, "g0x", NotApplicableError, "no signal"),
+        ],
+        ids=["n_zero", "w_negative", "bad_variant", "no_signal"],
+    )
+    def test_half_rate_runs_every_check(self, form, fam, n, w, variant, error, message):
+        # at q = 1/2 the FI is 0, but the arguments are checked as at q < 1/2
+        def call(q):
+            if form == "per_n":
+                return spam_fi(fam, n, w, q, variant)
+            return spam_fi_rows(fam, [n, n + 1], w, q, variant)
+
+        for q in (0.1, 0.5):
+            with pytest.raises(error, match=message):
+                call(q)
+
 
 class TestQec:
     def test_heisenberg_values(self):
@@ -542,6 +564,15 @@ class TestQec:
         assert np.isclose(qec_analytic(0.1, 100), 25600.0, rtol=1e-14)
         assert qec_analytic(0.5, 7) == 0.0
         assert qec_analytic(0.3, 0) == 0.0
+
+    @pytest.mark.parametrize("n", [10**200, 10**400], ids=["float_overflow", "int_too_big"])
+    def test_analytic_overflow_is_domain_error(self, n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="overflow"):
+                qec_analytic(0.1, n)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert qec_analytic(0.1, 10**100) == 4.0 * (1.0 - 2.0 * 0.1) ** 2 * 10**100 * 10**100
 
     def test_sim_matches_analytic_grid(self):
         for p in (0.05, 0.25, 0.4):
