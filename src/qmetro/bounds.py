@@ -18,8 +18,12 @@ and ``gamma`` are real 4-vectors, the channel and each control 4x4 maps
 ``[[1, 0], [t, T]]``, and each gauge fixes the coordinates ``a`` of ``alpha``,
 ``b`` of ``beta`` and the map ``ubeta = U iota`` (:func:`step_coordinates`).
 A step adds ``2 iota.a`` and ``4 gamma.b``, sets ``gamma <- C (E gamma + U iota)``
-and ``iota <- C E iota``, and ``||gamma||_1 = max(|c_0|, |c_(1:)|)``.  The
-default gauge is built from ``iota``'s coordinates, only when they change.
+and ``iota <- C E iota``, and ``||gamma||_1 = max(|c_0|, |c_(1:)|)``.
+
+:func:`extension_bound` stacks the work: each distinct control's ``C E`` once,
+one pass for the ``iota`` of every step, every distinct default gauge at once
+from those ``iota`` rows, the ``(a, b, U)`` of every distinct gauge in one
+stacked build, one pass for ``gamma``, and the terms as vector operations.
 
 Closed-form constant ceilings are provided for dephasing families violating
 the RGNKS condition and for strictly contractive channels, together with the
@@ -63,6 +67,8 @@ __all__ = [
     "BlochInequalityReport",
     "step_coordinates",
 ]
+
+_BLOCK = 512  # steps whose 4x4 maps extension_bound gathers at once; bounds that transient stack
 
 
 @dataclass(frozen=True)
@@ -117,25 +123,41 @@ def nonunital_gauge(fam: DephasingFamily, iota: np.ndarray) -> GaugeMatrix:
     cross operator and minimize the alpha trace.  Requires ``|Tr(iota Z)/2| < 1``;
     reduces to :func:`unital_gauge` at ``iota = I``, coordinates ``(2, 0, 0, 0)``.
     """
+    return GaugeMatrix(_nonunital_gauges(fam, np.reshape(iota, (1, 4)))[0])
+
+
+def _nonunital_gauges(fam: DephasingFamily, iotas: np.ndarray) -> np.ndarray:
+    """The (N, 2, 2) matrices of :func:`nonunital_gauge`, one per row of the (N, 4) ``iotas``;
+    :class:`DomainError` names the first row with ``|Tr(iota Z)/2| >= 1``."""
     p = fam.p
     gp, gm = fam.g_plus_coords, fam.g_minus_coords
-    z = iota[3] / 2.0
-    if abs(z) >= 1.0:
-        raise DomainError(f"|Tr(iota Z)/2| = {abs(z):.6g} >= 1: control too non-unital")
+    z = iotas[:, 3] / 2.0
+    pole = np.abs(z) >= 1.0
+    if pole.any():
+        raise DomainError(f"|Tr(iota Z)/2| = {abs(z[pole][0]):.6g} >= 1: control too non-unital")
     # Tr(A B) = c(A).c(B)/2 in Pauli coordinates
-    g_plus = iota @ gp / 4.0 - gp[3] / 2.0 * z
-    g_minus = iota @ gm / 4.0 - gm[3] / 2.0 * z
+    g_plus = iotas @ gp / 4.0 - gp[3] / 2.0 * z
+    g_minus = iotas @ gm / 4.0 - gm[3] / 2.0 * z
     sum_cond = -g_plus / (1.0 - z * z)  # (1-p) h00 + p h11
     dif_cond = -g_minus - gm[3] / 2.0 * z  # (1-p) h00 - p h11
-    h00 = (sum_cond + dif_cond) / (2.0 * (1.0 - p))
-    h11 = (sum_cond - dif_cond) / (2.0 * p)
-    off = (z * g_plus / (1.0 - z * z) - gp[3] / 2.0) / (2.0 * np.sqrt(p * (1.0 - p)))
-    return GaugeMatrix(np.array([[h00, off], [off, h11]], dtype=complex))
+    h = np.empty((len(z), 2, 2), dtype=complex)
+    h[:, 0, 0] = (sum_cond + dif_cond) / (2.0 * (1.0 - p))
+    h[:, 1, 1] = (sum_cond - dif_cond) / (2.0 * p)
+    h[:, 0, 1] = h[:, 1, 0] = (z * g_plus / (1.0 - z * z) - gp[3] / 2.0) / (2.0 * np.sqrt(p * (1.0 - p)))
+    return h
 
 
 # ---------------------------------------------------------------------------
 # The recursion engine
 # ---------------------------------------------------------------------------
+
+
+def _gauge_matrix(ch: OneParamChannel, gauge: GaugeMatrix) -> np.ndarray:
+    """``gauge.h``, once its shape fits the Kraus rank of ``ch``."""
+    r = len(ch.k_ops)
+    if gauge.h.shape != (r, r):
+        raise ValidationError(f"gauge must be {r}x{r} for this channel, got {gauge.h.shape}")
+    return gauge.h
 
 
 def step_coordinates(ch: OneParamChannel, gauge: GaugeMatrix):
@@ -144,12 +166,28 @@ def step_coordinates(ch: OneParamChannel, gauge: GaugeMatrix):
     With the gauged derivatives ``dK~ = dK - i h K`` and the sandwich
     ``m = M(dK~, K)``: ``a = M(dK~, dK~)[0]``, ``U = -Im(m)/2`` and ``b = -Im(m[0]) = 2 U[0]``.
     """
-    r = len(ch.k_ops)
-    if gauge.h.shape != (r, r):
-        raise ValidationError(f"gauge must be {r}x{r} for this channel, got {gauge.h.shape}")
-    dks = _gauged_derivatives(ch.k_ops, ch.dk_ops, gauge.h)
-    u = -0.5 * pauli_sandwich(dks, ch.k_ops).imag
-    return pauli_sandwich(dks, dks)[0].real, 2.0 * u[0], u
+    a, b, u = _stacked_coordinates(ch, _gauge_matrix(ch, gauge)[None])
+    return a[0], b[0], u[0]
+
+
+def _stacked_coordinates(ch: OneParamChannel, hs: np.ndarray):
+    """The ``(a, b, U)`` of :func:`step_coordinates` for a (g, r, r) stack of gauge matrices,
+    as (g, 4), (g, 4) and (g, 4, 4) stacks."""
+    dks = _gauged_derivatives(ch.k_ops, ch.dk_ops, hs)
+    u = -0.5 * pauli_sandwich(dks, np.broadcast_to(ch.k_ops, dks.shape)).imag
+    return pauli_sandwich(dks, dks)[:, 0].real, 2.0 * u[:, 0], u
+
+
+def _slots(keys) -> tuple:
+    """``(slot, first)``: each key's index among the distinct keys, numbered in order of first
+    appearance, and the position of each distinct key's first appearance."""
+    slot, index, first = {}, [], []
+    for k, key in enumerate(keys):
+        j = slot.setdefault(key, len(first))
+        if j == len(first):
+            first.append(k)
+        index.append(j)
+    return np.array(index, dtype=int), first
 
 
 @_overflow_is_domain_error
@@ -166,31 +204,48 @@ def extension_bound(ch, steps) -> BoundReport:
         raise ValidationError("steps must be nonempty")
     fam = ch if isinstance(ch, DephasingFamily) else None
     base = ch if fam is None else dephasing_channel(fam)
+    default = np.array([step.gauge is None for step in steps])
+    if fam is None and default.any():
+        raise ValidationError("explicit gauges are required for general one-parameter channels")
     chan = ptm_from_kraus(base.kraus_set()).matrix  # first row exactly (1, 0, 0, 0)
-    iota = np.array([2.0, 0.0, 0.0, 0.0])  # coordinates of I
+    n = len(steps)
+    # each distinct control once, by identity, as C and as C E; after[k] is step k's C E
+    ci, first = _slots(id(step.control) for step in steps)
+    controls = np.array([steps[k].control.matrix for k in first])
+    distinct = list(controls @ chan)
+    after = [distinct[c] for c in ci.tolist()]
+    # the iota pass: iotas[k] = iota_{k-1}, from iota_0 = I, coordinates (2, 0, 0, 0)
+    iotas = np.empty((n, 4))
+    iota = iotas[0] = np.array([2.0, 0.0, 0.0, 0.0])
+    for k in range(1, n):
+        iota = iotas[k] = after[k - 1].dot(iota)
+    # each distinct gauge once: explicit ones by identity, default ones by their iota row
+    gi = np.empty(n, dtype=int)
+    explicit, implicit = np.flatnonzero(~default), np.flatnonzero(default)
+    slot, first = _slots(id(steps[k].gauge) for k in explicit)
+    gi[explicit] = slot
+    hs = [_gauge_matrix(base, steps[explicit[j]].gauge) for j in first]
+    if implicit.size:
+        slot, first = _slots(row.tobytes() for row in iotas[implicit])
+        gi[implicit] = len(hs) + slot
+        hs += list(_nonunital_gauges(fam, iotas[implicit[first]]))
+    a, b, u = _stacked_coordinates(base, np.array(hs))
+    # the gamma pass: gamma_k = C_k E gamma_{k-1} + C_k U_k iota_{k-1}, from gamma_0 = 0;
+    # the forcing gathers per-step 4x4 maps a block of steps at a time
+    forcing = np.empty((n, 4))
+    for lo in range(0, n, _BLOCK):
+        k = slice(lo, lo + _BLOCK)
+        forcing[k] = (controls[ci[k]] @ (u[gi[k]] @ iotas[k, :, None]))[..., 0]
+    gammas = np.empty((n, 4))
     gamma = np.zeros(4)
-    alpha_terms, cross_terms, gamma_norms = [], [], []
-    gauge_key = control = None
-    for step in steps:
-        if step.gauge is None and fam is None:
-            raise ValidationError("explicit gauges are required for general one-parameter channels")
-        key = id(step.gauge) if step.gauge is not None else iota.tobytes()
-        if key != gauge_key:
-            gauge = step.gauge if step.gauge is not None else nonunital_gauge(fam, iota)
-            a, b, u = step_coordinates(base, gauge)
-            gauge_key = key
-        if step.control is not control:
-            control, c = step.control, step.control.matrix
-        alpha_terms.append(2.0 * (iota @ a))
-        if gamma_norms:
-            cross_terms.append(4.0 * (gamma @ b))
-        gamma = c @ (chan @ gamma + u @ iota)
-        gamma_norms.append(float(max(abs(gamma[0]), np.linalg.norm(gamma[1:]))))
-        iota = c @ (chan @ iota)
-    total = float(sum(alpha_terms) + sum(cross_terms))
+    for m, f, row in zip(after, forcing, gammas):
+        gamma = row[...] = m.dot(gamma) + f
+    alpha_terms = (2.0 * (iotas * a[gi]).sum(1)).tolist()
+    cross_terms = (4.0 * (gammas[:-1] * b[gi[1:]]).sum(1)).tolist()
+    gamma_norms = np.maximum(np.abs(gammas[:, 0]), np.sqrt((gammas[:, 1:] ** 2).sum(1))).tolist()
     return BoundReport(
-        n=len(steps),
-        total=total,
+        n=n,
+        total=float(sum(alpha_terms) + sum(cross_terms)),
         alpha_terms=tuple(alpha_terms),
         cross_terms=tuple(cross_terms),
         gamma_norms=tuple(gamma_norms),

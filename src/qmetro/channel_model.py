@@ -128,8 +128,21 @@ class OneParamChannel:
             if not (np.isfinite(k).all() and np.isfinite(dk).all()):
                 raise ValidationError("Kraus operator or derivative has non-finite entries")
         # built once: its constructor is the trace-preservation check
-        ks = KrausSet([k for k, _ in pairs])
-        dk_ops = _read_only(np.array([dk for _, dk in pairs]))
+        self._bind(KrausSet([k for k, _ in pairs]), np.array([dk for _, dk in pairs]))
+
+    @classmethod
+    def _of_kraus_set(cls, ks: KrausSet, dk_ops: np.ndarray) -> "OneParamChannel":
+        """The channel of an already checked ``ks`` with the stacked derivatives ``dk_ops``:
+        only the derivative checks run."""
+        if not np.isfinite(dk_ops).all():
+            raise ValidationError("Kraus operator or derivative has non-finite entries")
+        ch = cls.__new__(cls)
+        ch._bind(ks, dk_ops)
+        return ch
+
+    def _bind(self, ks: KrausSet, dk_ops: np.ndarray) -> None:
+        """Hold ``ks`` and ``dk_ops`` once ``dk_ops`` keeps trace preservation at first order."""
+        dk_ops = _read_only(dk_ops)
         first_order = _k_dag_dk(ks.ops, dk_ops)
         if np.linalg.norm(first_order + first_order.conj().T) > 1e-9:
             raise ValidationError("family breaks trace preservation at first order (residual > 1e-9)")
@@ -314,7 +327,7 @@ def x_rotation_dephasing(p: float, pdot: float = 0.0) -> DephasingFamily:
 def rotated_family(ks: KrausSet, generator: np.ndarray) -> OneParamChannel:
     """One-parameter family ``e^{-i G theta} E(.) e^{+i G theta}`` at theta=0."""
     g = require_hermitian(generator, name="generator")
-    return OneParamChannel(zip(ks.ops, -1j * g @ ks.ops))
+    return OneParamChannel._of_kraus_set(ks, -1j * g @ ks.ops)
 
 
 def depolarizing_kraus(lam: float) -> KrausSet:

@@ -271,8 +271,9 @@ NEAR_PURE = 1e-9  # Newton runs stop short of outputs with 0 < 1 - |w|^2 < NEAR_
 
 
 def _gauged_derivatives(k_ops: np.ndarray, dk_ops: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The gauged Kraus derivatives ``B_j(h) = dK_j - i sum_i h_ji K_i``, stacked."""
-    return dk_ops - 1j * np.einsum("ji,iab->jab", h, k_ops)
+    """The gauged Kraus derivatives ``B_j(h) = dK_j - i sum_i h_ji K_i``, stacked; a stack of
+    gauges ``h`` of shape (g, r, r) gives one stack per gauge, (g, r, d, d)."""
+    return dk_ops - 1j * np.einsum("...ji,iab->...jab", h, k_ops)
 
 
 def _alpha(k_ops: np.ndarray, dk_ops: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -14,8 +14,11 @@ to the 7x7 matrix ``[[T, 0, t], [dT, T, dt], [0, 0, 1]]`` and a control to
 ``[[T_k, 0, t_k], [0, T_k, 0], [0, 0, 1]]``.  A constant control therefore
 runs ``n`` steps as ``(C K)^n z_0``, which :func:`_advance` applies in
 O(log n) products by binary powering on the offset ``C K - I``, so that it
-rounds no worse than the step-by-step loop; per-step controls (and
-trajectory recording) apply the lifted steps one by one.
+rounds no worse than the step-by-step loop.  Per-step controls (and
+trajectory recording) form all step offsets ``C_k K - I`` in one batched
+expression and compose them pairwise in offset form, in log2 n batched
+products (:func:`_up_sweep`); a trajectory reads every prefix product off the
+same tree (:func:`_down_sweep`), so its last point is the plain run's terminal.
 
 The QEC protocol propagates the full two-qubit density matrix and its
 derivative through the repetition-code recovery channel.  One step is the
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -86,6 +89,7 @@ __all__ = [
 
 SQL_VARIANTS = ("g0x", "g0y", "g1x", "g1y")
 ROWS_PER_BLOCK = 1024  # rows a rows form advances together; bounds its (N, 7, 7) step stack
+_EYE7 = np.eye(7)
 
 
 @dataclass(frozen=True, init=False)
@@ -113,6 +117,13 @@ class ControlSequence:
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "constant", bool(constant))
 
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """The lifted offsets ``C_k - I`` of the maps, stacked on first use only, read-only."""
+        offsets = _control_offsets([m.t for m in self.maps], [m.T for m in self.maps])
+        offsets.flags.writeable = False
+        return offsets
+
     @staticmethod
     def identity() -> "ControlSequence":
         return ControlSequence(PauliTransferMap.identity())
@@ -139,18 +150,14 @@ class ProtocolResult:
             raise ValidationError("qfi_or_fi must be nonnegative")
 
 
-def _lift(t, T, dt=0.0, dT=0.0) -> np.ndarray:
-    """``[[T, 0, t], [dT, T, dt], [0, 0, 1]]``, batched over leading axes of ``T``.
-
-    A control map has no derivative part: ``dt = dT = 0``.
-    """
-    T = np.asarray(T)
-    s = np.zeros(T.shape[:-2] + (7, 7))
-    s[..., :3, :3] = s[..., 3:6, 3:6] = T
-    s[..., 3:6, :3] = dT
-    s[..., :3, 6] = t
-    s[..., 3:6, 6] = dt
-    s[..., 6, 6] = 1.0
+def _lift(t, T, dt, dT) -> np.ndarray:
+    """``[[T, 0, t], [dT, T, dt], [0, 0, 1]]``: the 7x7 map of Bloch data on ``(v, dv, 1)``."""
+    s = np.zeros((7, 7))
+    s[:3, :3] = s[3:6, 3:6] = T
+    s[3:6, :3] = dT
+    s[:3, 6] = t
+    s[3:6, 6] = dt
+    s[6, 6] = 1.0
     return s
 
 
@@ -229,15 +236,69 @@ def _lifted_kernel(fam) -> np.ndarray:
     raise ValidationError(f"unsupported channel description: {type(fam).__name__}")
 
 
-def _step_offsets(fam, shifts, rotations) -> np.ndarray:
-    """Offsets ``C K - I`` of the lifted steps, one per control ``(t_k, T_k)``.
+def _control_offsets(shifts, rotations) -> np.ndarray:
+    """Offsets ``C_k - I = [[T_k - I, 0, t_k], [0, T_k - I, 0], [0, 0, 0]]`` of the lifted
+    controls ``(t_k, T_k)``, stacked; a control has no derivative part."""
+    rotations = np.reshape(rotations, (-1, 3, 3)) - np.eye(3)
+    c = np.zeros((len(rotations), 7, 7))
+    c[:, :3, :3] = c[:, 3:6, 3:6] = rotations
+    c[:, :3, 6] = np.reshape(shifts, (-1, 3))
+    return c
+
+
+def _kernel_steps(fam, c: np.ndarray) -> np.ndarray:
+    """Offsets ``C_k K - I`` of the lifted steps from the stacked control offsets ``c = C_k - I``.
 
     Formed from the exact offsets of ``C`` and ``K``: ``(I + c)(I + k) - I = c + k + c k``.
     """
-    eye = np.eye(7)
-    k = _lifted_kernel(fam) - eye
-    c = _lift(np.reshape(shifts, (-1, 3)), np.reshape(rotations, (-1, 3, 3))) - eye
+    k = _lifted_kernel(fam) - _EYE7
     return c + k + c @ k
+
+
+def _step_offsets(fam, shifts, rotations) -> np.ndarray:
+    """Offsets ``C K - I`` of the lifted steps, one per control ``(t_k, T_k)``."""
+    return _kernel_steps(fam, _control_offsets(shifts, rotations))
+
+
+def _up_sweep(e: np.ndarray) -> list:
+    """The levels of the pairwise product of the steps ``I + e_k`` of an (n, d, d) ``e``, n >= 1.
+
+    Level 0 is ``e``; each next level composes neighbours in offset form,
+    ``(I + b)(I + a) - I = a + b + b a`` with ``a`` applied first, and carries an
+    odd last entry up unchanged, so the last level holds the offset of the whole
+    product ``(I + e_n) ... (I + e_1) - I``.  That is log2 n batched products,
+    each rounded against ``|e|`` rather than against the identity (as in
+    :func:`_advance`).
+    """
+    levels = [e]
+    while len(levels[-1]) > 1:
+        lower = levels[-1]
+        a, b = lower[0:-1:2], lower[1::2]
+        up = a + b + b @ a
+        levels.append(np.concatenate([up, lower[-1:]]) if len(lower) % 2 else up)
+    return levels
+
+
+def _down_sweep(levels: list) -> np.ndarray:
+    """The offsets of every prefix product ``(I + e_k) ... (I + e_1) - I``, k = 1..n, from the
+    levels of :func:`_up_sweep`.
+
+    A right child (or a carried entry) ends where its parent ends, so it takes the parent's
+    prefix as it is; a left child takes the prefix of its parent's left neighbour times itself.
+    The last prefix is therefore the product's own offset, bit for bit.
+    """
+    prefix = levels[-1]
+    for lower in reversed(levels[:-1]):
+        pairs = len(lower) // 2
+        out = np.empty(lower.shape, lower.dtype)
+        out[1 : 2 * pairs : 2] = prefix[:pairs]
+        out[0] = lower[0]
+        before, left = prefix[: pairs - 1], lower[2 : 2 * pairs : 2]
+        out[2 : 2 * pairs : 2] = before + left + left @ before
+        if len(lower) % 2:
+            out[-1] = prefix[-1]
+        prefix = out
+    return prefix
 
 
 def _start(v0: BlochState) -> np.ndarray:
@@ -260,6 +321,14 @@ def _require_steps(n_min) -> None:
         raise DomainError("n must be nonnegative")
 
 
+def _float_steps(n) -> float:
+    """A step count (or block count) as a float; :class:`DomainError` when it has none."""
+    try:
+        return float(n)
+    except OverflowError as exc:
+        raise DomainError(f"{exc}: the step count overflows") from exc
+
+
 def simulate_sequence(
     fam,
     controls: ControlSequence,
@@ -270,25 +339,25 @@ def simulate_sequence(
     """Propagate (v, dv) through ``n`` channel applications with interleaved controls.
 
     Returns the QFI of the terminal state.  A constant control without
-    trajectory recording costs one 7x7 binary power; otherwise the lifted
-    steps are applied one at a time.
+    trajectory recording costs one 7x7 binary power; otherwise the ``n`` lifted
+    steps are composed pairwise in log2 n batched products, and the product is
+    applied to the start once.  Both paths of a per-step run share that
+    product, so recording a trajectory leaves the terminal unchanged.
     """
     _require_steps(n)
-    maps = controls.maps[: 1 if controls.constant else n]
-    steps = _step_offsets(fam, [m.t for m in maps], [m.T for m in maps])
+    steps = _kernel_steps(fam, controls._offsets[: 1 if controls.constant else n])
     controls.require_length(n)
     z = _start(v0)
-    traj = [z] if record_trajectory else None
     if controls.constant and not record_trajectory:
-        z = _advance(steps[0], n, z)
-    else:
-        for i in range(n):
-            z = z + steps[0 if controls.constant else i] @ z
-            if traj is not None:
-                traj.append(z)
-    return _bloch_result(
-        n, z, None if traj is None else tuple(BlochState(s[:3], s[3:6]) for s in traj)
-    )
+        return _bloch_result(n, _advance(steps[0], n, z))
+    points = [z]
+    if n:
+        levels = _up_sweep(np.broadcast_to(steps, (n, 7, 7)))
+        if record_trajectory:
+            points += list(z + _down_sweep(levels)[:-1] @ z)
+        points.append(z + levels[-1][0] @ z)
+    trajectory = tuple(BlochState(s[:3], s[3:6]) for s in points) if record_trajectory else None
+    return _bloch_result(n, points[-1], trajectory)
 
 
 def _constant_rows(fam, ns, v0: BlochState, shifts, rotations) -> list:
@@ -356,7 +425,7 @@ def sql_protocol(
     starting from ``(0, 0, z0)``.
     """
     _sql_trace(fam, variant, w, z0, n)
-    control = ControlSequence(sql_control_ptm(variant, math.sqrt(w / n)))
+    control = ControlSequence(sql_control_ptm(variant, math.sqrt(w / _float_steps(n))))
     result = simulate_sequence(fam, control, _axis_state(z0), n)
     return ProtocolResult(
         n=result.n,
@@ -369,7 +438,7 @@ def sql_protocol(
 def _sql_results(fam: DephasingFamily, ns: np.ndarray, w: float, variant: str, z0: float) -> list:
     """:func:`sql_protocol`'s checks, then the run at each n of ``ns``, each under its own control."""
     _sql_trace(fam, variant, w, z0, ns.min())
-    rotations = [_sql_rotation(variant, math.sqrt(w / n)) for n in ns]
+    rotations = [_sql_rotation(variant, math.sqrt(w / _float_steps(n))) for n in ns]
     return _constant_rows(fam, ns, _axis_state(z0), np.zeros(3), rotations)
 
 
@@ -423,7 +492,7 @@ def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> Protoco
     blocks = n // interval
     return ProtocolResult(
         n=n,
-        qfi_or_fi=blocks * per_interval,
+        qfi_or_fi=_float_steps(blocks) * per_interval,
         meta={
             "interval": interval,
             "blocks": blocks,
@@ -438,7 +507,7 @@ def repeated_measurement_rows(fam: DephasingFamily, ns, interval: int):
     """The FI of :func:`repeated_measurement` at each n of ``ns``: ``(n // interval)`` times
     one per-interval QFI."""
     per_interval = _pole_interval(fam, interval, ns.min())
-    return [ProtocolResult(n=n, qfi_or_fi=int(n) // interval * per_interval).qfi_or_fi for n in ns]
+    return [ProtocolResult(n=n, qfi_or_fi=_float_steps(int(n) // interval) * per_interval).qfi_or_fi for n in ns]
 
 
 def _spam_bias(fam: DephasingFamily, n_min: int, w: float, q: float, variant: str) -> float:

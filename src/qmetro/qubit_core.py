@@ -71,8 +71,8 @@ PAULIS = (I2, X, Y, Z)
 SIGMA = (X, Y, Z)
 # _SANDWICH[(i, j), (b, c, a, d)] = sigma_i[a, b] sigma_j[c, d]
 _SANDWICH = np.einsum("iab,jcd->ijbcad", PAULIS, PAULIS).reshape(16, 16)
-# _CHOI_BASIS[(i, j), (a, c, b, d)] = (sigma_i kron sigma_j^T)[(a, c), (b, d)]
-_CHOI_BASIS = np.einsum("iab,jdc->ijacbd", PAULIS, PAULIS).reshape(16, 16)
+# _CHOI_BASIS[(i, j), (a, c, b, d)] = (sigma_i kron sigma_j^T)[(a, c), (b, d)] / 2
+_CHOI_BASIS = np.einsum("iab,jdc->ijacbd", PAULIS, PAULIS).reshape(16, 16) / 2.0
 
 
 class ValidationError(ValueError):
@@ -240,11 +240,12 @@ class PauliTransferMap:
     def apply_bloch(self, v: np.ndarray) -> np.ndarray:
         return self.t + self.T @ np.asarray(v, dtype=float)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The real 4x4 map ``[[1, 0], [t, T]]`` on Pauli coordinates."""
+        """The real 4x4 map ``[[1, 0], [t, T]]`` on Pauli coordinates, built once, read-only."""
         m = np.eye(4)
         m[1:, 0], m[1:, 1:] = self.t, self.T
+        m.flags.writeable = False
         return m
 
     def apply_hermitian(self, op: np.ndarray) -> np.ndarray:
@@ -348,14 +349,18 @@ def apply_kraus(ops, rho: np.ndarray) -> np.ndarray:
 def pauli_sandwich(left, right) -> np.ndarray:
     """``M_ij = sum_k Tr(sigma_i L_k sigma_j R_k^dag)`` over paired 2x2 operators.
 
-    ``left`` and ``right`` are one 2x2 operator or equally long sequences of
-    them.  With ``L = R = K`` the Kraus operators of a channel ``E``,
-    ``M_ij = Tr(sigma_i E(sigma_j))``, twice its 4x4 Pauli transfer matrix.
+    ``left`` and ``right`` are one 2x2 operator, equally long sequences of
+    them, or equally shaped stacks ``(..., r, 2, 2)`` of such sequences, which
+    give one 4x4 ``M`` each.  With ``L = R = K`` the Kraus operators of a
+    channel ``E``, ``M_ij = Tr(sigma_i E(sigma_j))``, twice its 4x4 Pauli
+    transfer matrix.
     """
     left, right = (np.asarray(ops, dtype=complex) for ops in (left, right))
     if left.shape[-2:] != (2, 2) or left.shape != right.shape:
         raise ValidationError("pauli_sandwich expects paired 2x2 operators")
-    return (_SANDWICH @ (left.reshape(-1, 4).T @ right.reshape(-1, 4).conj()).ravel()).reshape(4, 4)
+    lead = left.shape[:-3]
+    outer = np.swapaxes(left.reshape(lead + (-1, 4)), -1, -2) @ right.reshape(lead + (-1, 4)).conj()
+    return (_SANDWICH @ outer.reshape(lead + (16, 1))).reshape(lead + (4, 4))
 
 
 def ptm_from_kraus(ks: KrausSet) -> PauliTransferMap:
@@ -385,7 +390,7 @@ def choi_from_kraus(ks: KrausSet) -> np.ndarray:
 
 def choi_from_ptm(ptm: PauliTransferMap) -> np.ndarray:
     """Choi matrix ``sum_ij R_ij sigma_i kron sigma_j^T / 2`` of the 4x4 map ``R``."""
-    return (ptm.matrix.ravel() @ _CHOI_BASIS).reshape(4, 4) / 2.0
+    return (ptm.matrix.ravel() @ _CHOI_BASIS).reshape(4, 4)
 
 
 def validate_cptp(choi: np.ndarray) -> CptpReport:
@@ -399,9 +404,9 @@ def validate_cptp(choi: np.ndarray) -> CptpReport:
     d = int(round(math.sqrt(d2)))
     if d * d != d2:
         raise ValidationError("Choi matrix dimension is not a perfect square")
-    min_eig = float(np.linalg.eigvalsh(choi).min())
-    partial = np.trace(choi.reshape(d, d, d, d), axis1=0, axis2=2)
-    tp_residual = float(np.linalg.norm(partial - np.eye(d)))
+    min_eig = float(np.linalg.eigvalsh(choi)[0])  # eigenvalues come in ascending order
+    residual = choi.reshape(d, d, d, d).trace(axis1=0, axis2=2) - np.eye(d)
+    tp_residual = math.sqrt(np.vdot(residual, residual).real)  # the Frobenius norm
     return CptpReport(
         is_cp=min_eig >= -PSD_ATOL,
         is_tp=tp_residual <= 1e-10,

@@ -3,8 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from qmetro import bounds
 from qmetro.bounds import (
     ExtensionStep,
+    _nonunital_gauges,
+    _stacked_coordinates,
     bloch_inequality_check,
     contractive_bound,
     bounded_ancilla_multiplier,
@@ -33,6 +36,7 @@ from qmetro.qubit_core import (
     Z,
     BlochState,
     DomainError,
+    KrausSet,
     PauliTransferMap,
     ValidationError,
     apply_kraus,
@@ -384,6 +388,86 @@ class TestUnitalGauge:
             _, _, ubeta = coordinate_operators(dephasing_channel(fam), unital_gauge(fam), I2)
             assert abs(np.trace(ubeta)) <= 1e-10
             assert abs(np.trace(Z @ ubeta)) <= 1e-10
+
+
+def random_iotas(rng, n, max_radius=0.9):
+    """``n`` rows of Pauli coordinates ``(2, 2 r u)`` with ``|u| = 1``, ``r < max_radius``."""
+    u = rng.normal(size=(n, 3))
+    u *= rng.uniform(0, max_radius, size=(n, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+    return np.column_stack([np.full(n, 2.0), 2.0 * u])
+
+
+def assert_rows_close(stack, rows, rtol=1e-15):
+    for got, want in zip(stack, rows):
+        assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
+
+
+class TestStackedForms:
+    """The stacked gauges and coordinates against their one-row calls."""
+
+    def test_gauges_match_one_row_calls(self, rng):
+        for _ in range(20):
+            fam = random_dephasing_family(rng)
+            iotas = random_iotas(rng, 40)
+            hs = _nonunital_gauges(fam, iotas)
+            assert hs.shape == (40, 2, 2)
+            assert_rows_close(hs, [nonunital_gauge(fam, row).h for row in iotas])
+
+    def test_coordinates_match_one_row_calls(self, rng):
+        cases = []
+        for _ in range(10):
+            fam = random_dephasing_family(rng)
+            cases.append((dephasing_channel(fam), _nonunital_gauges(fam, random_iotas(rng, 30))))
+        for env in (1, 2, 3, 4):
+            gauges = [random_hermitian_gauge(rng, env).h for _ in range(30)]
+            cases.append((random_one_param_channel(rng, env=env), np.array(gauges)))
+        for ch, hs in cases:
+            a, b, u = _stacked_coordinates(ch, hs)
+            rows = [step_coordinates(ch, GaugeMatrix(h)) for h in hs]
+            for stack, part in zip((a, b, u), zip(*rows)):
+                assert stack.shape == (len(hs),) + part[0].shape
+                assert_rows_close(stack, part)
+
+    def test_first_pole_row_is_named(self, rng):
+        fam = x_rotation_dephasing(0.1)
+        iotas = random_iotas(rng, 6)
+        iotas[2, 3], iotas[4, 3] = 3.0, -2.4  # |Tr(iota Z)/2| = 1.5, then 1.2
+        with pytest.raises(DomainError, match=r"\|Tr\(iota Z\)/2\| = 1.5 >= 1"):
+            _nonunital_gauges(fam, iotas)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The shapes of the gauge stacks ``extension_bound`` builds coordinates for."""
+        shapes = []
+
+        def recorded(ch, hs):
+            shapes.append(hs.shape)
+            return _stacked_coordinates(ch, hs)
+
+        monkeypatch.setattr(bounds, "_stacked_coordinates", recorded)
+        return shapes
+
+    def test_identical_steps_build_one_gauge(self, built):
+        fam = DephasingFamily(0.13, 0.4, X + 0.3 * Z, -0.6 * Y + 0.2 * Z)
+        extension_bound(fam, [ExtensionStep(IDENT)] * 5000)
+        assert built == [(1, 2, 2)]
+
+    def test_each_distinct_gauge_is_built_once(self, rng, built):
+        ch = random_one_param_channel(rng, env=3)
+        gauges = [random_hermitian_gauge(rng, 3) for _ in range(3)]
+        extension_bound(ch, [ExtensionStep(random_unital_ptm(rng), gauges[k % 3]) for k in range(30)])
+        fam = x_rotation_dephasing(0.1)
+        damping = ptm_from_kraus(KrausSet([np.diag([1.0, np.sqrt(0.98)]), [[0.0, np.sqrt(0.02)], [0.0, 0.0]]]))
+        # a unital gauge shared by identity, plus a default gauge for each new iota that damping makes
+        steps = [ExtensionStep(IDENT, unital_gauge(fam))] * 10 + [ExtensionStep(damping)] * 20
+        extension_bound(fam, steps)
+        assert built == [(3, 3, 3), (21, 2, 2)]
+
+    def test_wrong_shape_gauge_among_many_rejected(self, rng):
+        ch = random_one_param_channel(rng, env=2)
+        good, bad = random_hermitian_gauge(rng, 2), GaugeMatrix(np.zeros((3, 3)))
+        with pytest.raises(ValidationError, match=r"gauge must be 2x2 for this channel, got \(3, 3\)"):
+            extension_bound(ch, [ExtensionStep(IDENT, good), ExtensionStep(IDENT, bad)])
 
 
 class TestNonunitalGauge:

@@ -161,6 +161,33 @@ class TestOneParamChannelRejects:
             OneParamChannel(pairs)
 
 
+class TestRotatedFamily:
+    def test_reuses_the_checked_kraus_set(self, rng, monkeypatch):
+        ks = random_cptp_kraus(rng, env=3)
+        built = []
+        monkeypatch.setattr(KrausSet, "__init__", lambda *args: built.append(args))
+        ch = rotated_family(ks, X + 0.3 * Z)
+        assert built == [] and ch.kraus_set() is ks and ch.k_ops is ks.ops
+        assert np.array_equal(ch.dk_ops, -1j * (X + 0.3 * Z) @ ks.ops)
+        with pytest.raises(ValueError):
+            ch.dk_ops[0, 0, 0] = 1.0
+
+    def test_matches_the_pair_constructor(self, rng):
+        for env in (1, 2, 4):
+            ks = random_cptp_kraus(rng, env=env)
+            g = X - 0.7 * Y + 0.2 * Z
+            ch, pairs = rotated_family(ks, g), OneParamChannel(zip(ks.ops, -1j * g @ ks.ops))
+            assert np.array_equal(ch.k_ops, pairs.k_ops) and np.array_equal(ch.dk_ops, pairs.dk_ops)
+
+    def test_derivative_checks_still_run(self):
+        hadamard = KrausSet([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                rotated_family(hadamard, 1.7e308 * (X + Z))  # -i G K overflows
+        with pytest.raises(ValidationError, match="first order"):
+            OneParamChannel._of_kraus_set(KrausSet([I2]), np.array([0.1 * Z]))
+
+
 # Oracle: the Kraus-span projection the shared least squares replaced.  The span
 # is orthonormalized from the Hermitian and anti-Hermitian parts of all pairwise
 # products in isometric real coordinates, and a residual is the norm left after

@@ -32,6 +32,7 @@ from qmetro.protocols import (
     sql_protocol,
     sql_protocol_rows,
     _advance,
+    _kernel_steps,
     _lifted_kernel,
     _qec_transfer,
     _step_offsets,
@@ -240,6 +241,77 @@ class TestTransferMatrix:
         for p in (0.05, 0.13, 0.3):
             for n in (5000, 100_000, 1_000_000):
                 assert rel_dist(qec_repetition_sim(p, n).qfi_or_fi, qec_analytic(p, n)) <= 1e-12
+
+
+def random_controls(rng, n):
+    """Per-step controls, half Kraus-built CPTP maps and half unital mixtures of rotations."""
+    return [ptm_from_kraus(random_cptp_kraus(rng)) if k % 2 else random_unital_ptm(rng) for k in range(n)]
+
+
+def near_pure_start(rng, gap):
+    """A random start with ``|v| = 1 - gap`` and no derivative."""
+    direction = rng.normal(size=3)
+    return BlochState((1.0 - gap) * direction / np.linalg.norm(direction), np.zeros(3))
+
+
+def assert_close_to_loop(got, v, dv, tol=1e-12):
+    """``(v, dv)`` of ``got`` within ``tol`` of the loop's, relative to ``max(|.|, 1)``."""
+    assert np.abs(got.v - v).max() <= tol * max(np.abs(v).max(), 1.0)
+    assert np.abs(got.dv - dv).max() <= tol * max(np.abs(dv).max(), 1.0)
+
+
+class TestComposedSteps:
+    """Per-step runs compose their lifted steps pairwise; the step loop is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 2000])
+    @pytest.mark.parametrize("gap", [1e-9, 1e-6, 0.3])
+    def test_terminal_matches_step_loop(self, rng, n, gap):
+        fam = random_dephasing_family(rng)
+        seq = ControlSequence(random_controls(rng, n), constant=False)
+        v0 = near_pure_start(rng, gap)
+        res = simulate_sequence(fam, seq, v0, n)
+        v, dv = step_loop(fam, seq, v0, n)
+        assert_close_to_loop(res.terminal, v, dv)
+        assert rel_dist(res.qfi_or_fi, qfi_bloch((v, dv))) <= 1e-12
+
+    def test_per_step_trajectory_matches_step_loop_at_every_k(self, rng):
+        fam = random_dephasing_family(rng)
+        n = 150
+        seq = ControlSequence(random_controls(rng, n), constant=False)
+        v0 = near_pure_start(rng, 1e-9)
+        traced = simulate_sequence(fam, seq, v0, n, record_trajectory=True)
+        assert len(traced.trajectory) == n + 1
+        for k, point in enumerate(traced.trajectory):
+            assert_close_to_loop(point, *step_loop(fam, seq, v0, k))
+        plain = simulate_sequence(fam, seq, v0, n)
+        assert np.array_equal(plain.terminal.v, traced.terminal.v)
+        assert np.array_equal(plain.terminal.dv, traced.terminal.dv)
+
+    def test_constant_control_trajectory_matches_step_loop_at_every_k(self):
+        fam = TestTransferMatrix.FAM
+        control = ControlSequence(sql_control_ptm("g1x", 0.02))
+        traced = simulate_sequence(fam, control, POLE, 150, record_trajectory=True)
+        for k, point in enumerate(traced.trajectory):
+            assert_close_to_loop(point, *step_loop(fam, control, POLE, k))
+
+    def test_longer_sequence_runs_its_first_n_controls(self, rng):
+        fam = random_dephasing_family(rng)
+        seq = ControlSequence(random_controls(rng, 40), constant=False)
+        for n in (0, 1, 17, 40):
+            res = simulate_sequence(fam, seq, POLE, n, record_trajectory=True)
+            assert_close_to_loop(res.terminal, *step_loop(fam, seq, POLE, n))
+            assert len(res.trajectory) == n + 1
+        assert np.array_equal(simulate_sequence(fam, seq, POLE, 0).terminal.v, POLE.v)
+
+    def test_lifted_offsets_are_stacked_once_and_read_only(self, rng):
+        maps = random_controls(rng, 5)
+        seq = ControlSequence(maps, constant=False)
+        assert seq._offsets is seq._offsets
+        assert seq._offsets.shape == (5, 7, 7)
+        with pytest.raises(ValueError):
+            seq._offsets[0, 0, 0] = 1.0
+        e = _step_offsets(TestTransferMatrix.FAM, [m.t for m in maps], [m.T for m in maps])
+        assert np.array_equal(e, _kernel_steps(TestTransferMatrix.FAM, seq._offsets))
 
 
 class TestAdvance:
@@ -643,3 +715,25 @@ class TestClosedFormOverflow:
             value = sql_asymptotic(x_rotation_dephasing(0.1), w)
         assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
         assert np.isfinite(value) and value >= 0.0
+
+
+class TestStepCountOverflow:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam, n: sql_protocol(fam, n, 0.01),
+            lambda fam, n: sql_protocol_rows(fam, [1, n], 0.01),
+            lambda fam, n: spam_fi(fam, n, 0.01, 0.1),
+            lambda fam, n: spam_fi_rows(fam, [1, n], 0.01, 0.1),
+            lambda fam, n: repeated_measurement(fam, n, 3),
+            lambda fam, n: repeated_measurement_rows(fam, [1, n], 3),
+        ],
+        ids=["sql", "sql_rows", "spam", "spam_rows", "repeated", "repeated_rows"],
+    )
+    def test_step_count_without_a_float_is_domain_error(self, call):
+        # 10**400 has no float: a domain error, not a bare OverflowError
+        fam = x_rotation_dephasing(0.1)
+        with pytest.raises(DomainError, match="int too large to convert to float"):
+            call(fam, 10**400)
+        value = call(fam, 10**6)
+        assert np.isfinite(getattr(value, "qfi_or_fi", value)).all()

@@ -238,6 +238,15 @@ class TestPtm:
             assert np.allclose(direct.t, chained.t, atol=1e-12)
             assert np.allclose(direct.T, chained.T, atol=1e-12)
 
+    def test_matrix_is_built_once_and_read_only(self, rng):
+        ptm = ptm_from_kraus(random_cptp_kraus(rng))
+        m = ptm.matrix
+        assert m is ptm.matrix
+        assert np.array_equal(m[0], [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(m[1:, 0], ptm.t) and np.array_equal(m[1:, 1:], ptm.T)
+        with pytest.raises(ValueError):
+            m[1, 1] = 2.0
+
 
 class TestChoi:
     def test_identity_is_rank_one(self):
@@ -292,7 +301,38 @@ class TestFiniteEntries:
             PauliTransferMap(np.zeros(3), np.diag([1.0, bad, 1.0]))
 
 
+def reference_cptp_report(choi):
+    """The Choi check spelled out: the least eigenvalue and the Frobenius norm of the
+    partial trace over the output factor minus the identity."""
+    d = int(round(np.sqrt(choi.shape[0])))
+    partial = np.trace(choi.reshape(d, d, d, d), axis1=0, axis2=2)
+    return np.linalg.eigvalsh(choi).min(), np.linalg.norm(partial - np.eye(d))
+
+
 class TestValidateCptp:
+    def test_report_matches_reference(self, rng):
+        maps = [
+            PauliTransferMap(0.3 * rng.normal(size=3), rng.uniform(0, 1.2) * rng.normal(size=(3, 3)))
+            for _ in range(200)
+        ]
+        chois = [choi_from_ptm(m) for m in maps]
+        chois += [choi_from_kraus(random_cptp_kraus(rng, dim=dim, env=env)) for dim in (2, 4) for env in (1, 3)]
+        chois += [0.9 * choi_from_kraus(random_cptp_kraus(rng, dim=dim)) for dim in (2, 4)]  # not TP
+        for choi in chois:
+            report = validate_cptp(choi)
+            min_eig, residual = reference_cptp_report(choi)
+            assert abs(report.min_eigenvalue - min_eig) <= 1e-15 * max(abs(min_eig), 1.0)
+            assert abs(report.tp_residual - residual) <= 1e-15 * max(residual, 1.0)
+            assert report.is_cp == (min_eig >= -1e-9) and report.is_tp == (residual <= 1e-10)
+
+    def test_checks_keep_their_messages(self):
+        with pytest.raises(ValidationError, match="Choi matrix has non-finite entries"):
+            validate_cptp(np.diag([1.0, np.nan, 0.0, 1.0]))
+        with pytest.raises(ValidationError, match="Choi matrix is not Hermitian within 1e-10"):
+            validate_cptp(np.triu(np.ones((4, 4))))
+        with pytest.raises(ValidationError, match="not a perfect square"):
+            validate_cptp(np.eye(3))
+
     def test_dephasing_passes(self):
         report = validate_cptp(choi_from_kraus(dephasing_set(0.1)))
         assert report.is_cp and report.is_tp
