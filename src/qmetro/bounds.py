@@ -20,10 +20,11 @@ and ``gamma`` are real 4-vectors, the channel and each control 4x4 maps
 A step adds ``2 iota.a`` and ``4 gamma.b``, sets ``gamma <- C (E gamma + U iota)``
 and ``iota <- C E iota``, and ``||gamma||_1 = max(|c_0|, |c_(1:)|)``.
 
-:func:`extension_bound` stacks the work: each distinct control's ``C E`` once,
-one pass for the ``iota`` of every step, every distinct default gauge at once
-from those ``iota`` rows, the ``(a, b, U)`` of every distinct gauge in one
-stacked build, one pass for ``gamma``, and the terms as vector operations.
+:func:`extension_bound` streams the steps in blocks of ``_BLOCK``, carrying
+``iota`` and ``gamma`` from one block to the next.  For each block it stacks the
+controls' ``C E``, runs the ``iota`` pass, builds the block's gauges (the default
+ones at once from its ``iota`` rows) and their ``(a, b, U)`` in one stacked
+build, then runs the ``gamma`` pass; the terms are vector operations.
 
 Closed-form constant ceilings are provided for dephasing families violating
 the RGNKS condition and for strictly contractive channels, together with the
@@ -68,7 +69,7 @@ __all__ = [
     "step_coordinates",
 ]
 
-_BLOCK = 512  # steps whose 4x4 maps extension_bound gathers at once; bounds that transient stack
+_BLOCK = 512  # steps extension_bound stacks at once; bounds its transient maps, gauges and coordinates
 
 
 @dataclass(frozen=True)
@@ -178,18 +179,6 @@ def _stacked_coordinates(ch: OneParamChannel, hs: np.ndarray):
     return pauli_sandwich(dks, dks)[:, 0].real, 2.0 * u[:, 0], u
 
 
-def _slots(keys) -> tuple:
-    """``(slot, first)``: each key's index among the distinct keys, numbered in order of first
-    appearance, and the position of each distinct key's first appearance."""
-    slot, index, first = {}, [], []
-    for k, key in enumerate(keys):
-        j = slot.setdefault(key, len(first))
-        if j == len(first):
-            first.append(k)
-        index.append(j)
-    return np.array(index, dtype=int), first
-
-
 @_overflow_is_domain_error
 def extension_bound(ch, steps) -> BoundReport:
     """Refined channel-extension upper bound for the given control sequence.
@@ -204,44 +193,34 @@ def extension_bound(ch, steps) -> BoundReport:
         raise ValidationError("steps must be nonempty")
     fam = ch if isinstance(ch, DephasingFamily) else None
     base = ch if fam is None else dephasing_channel(fam)
-    default = np.array([step.gauge is None for step in steps])
-    if fam is None and default.any():
+    if fam is None and any(step.gauge is None for step in steps):
         raise ValidationError("explicit gauges are required for general one-parameter channels")
     chan = ptm_from_kraus(base.kraus_set()).matrix  # first row exactly (1, 0, 0, 0)
-    n = len(steps)
-    # each distinct control once, by identity, as C and as C E; after[k] is step k's C E
-    ci, first = _slots(id(step.control) for step in steps)
-    controls = np.array([steps[k].control.matrix for k in first])
-    distinct = list(controls @ chan)
-    after = [distinct[c] for c in ci.tolist()]
-    # the iota pass: iotas[k] = iota_{k-1}, from iota_0 = I, coordinates (2, 0, 0, 0)
-    iotas = np.empty((n, 4))
-    iota = iotas[0] = np.array([2.0, 0.0, 0.0, 0.0])
-    for k in range(1, n):
-        iota = iotas[k] = after[k - 1].dot(iota)
-    # each distinct gauge once: explicit ones by identity, default ones by their iota row
-    gi = np.empty(n, dtype=int)
-    explicit, implicit = np.flatnonzero(~default), np.flatnonzero(default)
-    slot, first = _slots(id(steps[k].gauge) for k in explicit)
-    gi[explicit] = slot
-    hs = [_gauge_matrix(base, steps[explicit[j]].gauge) for j in first]
-    if implicit.size:
-        slot, first = _slots(row.tobytes() for row in iotas[implicit])
-        gi[implicit] = len(hs) + slot
-        hs += list(_nonunital_gauges(fam, iotas[implicit[first]]))
-    a, b, u = _stacked_coordinates(base, np.array(hs))
-    # the gamma pass: gamma_k = C_k E gamma_{k-1} + C_k U_k iota_{k-1}, from gamma_0 = 0;
-    # the forcing gathers per-step 4x4 maps a block of steps at a time
-    forcing = np.empty((n, 4))
+    n, r = len(steps), len(base.k_ops)
+    # per step k: iotas[k] = iota_{k-1}, gammas[k] = gamma_k and the gauge's a and b
+    iotas, gammas, a, b = np.empty((4, n, 4))
+    iota, gamma = np.array([2.0, 0.0, 0.0, 0.0]), np.zeros(4)  # iota_0 = I, gamma_0 = 0
     for lo in range(0, n, _BLOCK):
         k = slice(lo, lo + _BLOCK)
-        forcing[k] = (controls[ci[k]] @ (u[gi[k]] @ iotas[k, :, None]))[..., 0]
-    gammas = np.empty((n, 4))
-    gamma = np.zeros(4)
-    for m, f, row in zip(after, forcing, gammas):
-        gamma = row[...] = m.dot(gamma) + f
-    alpha_terms = (2.0 * (iotas * a[gi]).sum(1)).tolist()
-    cross_terms = (4.0 * (gammas[:-1] * b[gi[1:]]).sum(1)).tolist()
+        block = steps[k]
+        controls = np.array([step.control.matrix for step in block])
+        after = controls @ chan  # each step's C E
+        for m, row in zip(after, iotas[k]):
+            row[...] = iota
+            iota = m.dot(iota)
+        hs = np.empty((len(block), r, r), dtype=complex)
+        default = np.array([step.gauge is None for step in block])
+        for j in np.flatnonzero(~default):
+            hs[j] = _gauge_matrix(base, block[j].gauge)
+        if default.any():
+            hs[default] = _nonunital_gauges(fam, iotas[k][default])
+        a[k], b[k], u = _stacked_coordinates(base, hs)
+        # the gamma pass: gamma_k = C_k E gamma_{k-1} + C_k U_k iota_{k-1}
+        forcing = (controls @ (u @ iotas[k, :, None]))[..., 0]
+        for m, f, row in zip(after, forcing, gammas[k]):
+            gamma = row[...] = m.dot(gamma) + f
+    alpha_terms = (2.0 * (iotas * a).sum(1)).tolist()
+    cross_terms = (4.0 * (gammas[:-1] * b[1:]).sum(1)).tolist()
     gamma_norms = np.maximum(np.abs(gammas[:, 0]), np.sqrt((gammas[:, 1:] ** 2).sum(1))).tolist()
     return BoundReport(
         n=n,

@@ -76,7 +76,7 @@ CLASSIFY_TOL = 1e-7
 HNKS_TOL = 1e-7  # smallest ||H||-relative distance from the Kraus span that counts as HNKS
 RGNKS_TOL = 1e-9  # largest |Tr(G X)|, |Tr(G Y)| at which a generator counts as proportional to Z
 UNITAL_TOL = 1e-8  # largest unitality witness at which a channel counts as unital
-_EDGE_GUARD = 1e-3  # fraction of tol treated as "too close to call" at the band edge
+_EDGE_GUARD = 1e-3  # fraction of CLASSIFY_TOL treated as "too close to call" at the band edge
 
 
 class AmbiguousClassificationError(ValueError):
@@ -217,6 +217,14 @@ class DephasingFamily:
         k[6, 6] = 1.0
         return _read_only(k)
 
+    @cached_property
+    def _channel(self) -> OneParamChannel:
+        """:func:`dephasing_channel`, built and checked once."""
+        sq0, sq1 = np.sqrt(1.0 - self.p), np.sqrt(self.p)
+        dk0 = -1j * sq0 * self.g0 - self.pdot / (2.0 * sq0) * I2
+        dk1 = -1j * sq1 * (Z @ self.g1) + self.pdot / (2.0 * sq1) * Z
+        return OneParamChannel([(sq0 * I2, dk0), (sq1 * Z, dk1)])
+
 
 @dataclass(frozen=True)
 class CanonicalPauliForm:
@@ -249,7 +257,7 @@ class ChannelKind(enum.Enum):
     STRICTLY_CONTRACTIVE = "StrictlyContractive"
 
 
-# number of singular values of T within tol of 1 -> class; two cannot happen for a CPTP map
+# number of singular values of T within CLASSIFY_TOL of 1 -> class; two cannot happen for a CPTP map
 _TAGS = {0: ChannelKind.STRICTLY_CONTRACTIVE, 1: ChannelKind.DEPHASING_CLASS, 3: ChannelKind.UNITARY}
 
 
@@ -280,20 +288,20 @@ class AnnihilatingGauge:
 # ---------------------------------------------------------------------------
 
 
-def classify(ptm: PauliTransferMap, tol: float = CLASSIFY_TOL) -> ChannelClass:
+def classify(ptm: PauliTransferMap) -> ChannelClass:
     """Classify a qubit channel from the singular values of its Bloch matrix.
 
-    All singular values within ``tol`` of 1 gives a unitary channel; exactly
-    one gives a dephasing-class channel; none gives a strictly contractive
-    channel.  Values within ``_EDGE_GUARD * tol`` of the decision edge raise
+    All singular values within ``CLASSIFY_TOL`` of 1 gives a unitary channel;
+    exactly one gives a dephasing-class channel; none gives a strictly contractive
+    channel.  Values within ``_EDGE_GUARD * CLASSIFY_TOL`` of the decision edge raise
     :class:`AmbiguousClassificationError`.
     """
     if not ptm.validated:
         require_cptp(ptm)
     svals = np.linalg.svd(ptm.T, compute_uv=False)  # descending
-    edge = 1.0 - tol
+    edge = 1.0 - CLASSIFY_TOL
     tag = _TAGS.get(int((svals > edge).sum()))
-    if tag is None or np.any(np.abs(svals - edge) < _EDGE_GUARD * tol):
+    if tag is None or np.any(np.abs(svals - edge) < _EDGE_GUARD * CLASSIFY_TOL):
         raise AmbiguousClassificationError(svals)
     return ChannelClass(tag, svals)
 
@@ -304,24 +312,18 @@ def classify(ptm: PauliTransferMap, tol: float = CLASSIFY_TOL) -> ChannelClass:
 
 
 def dephasing_channel(fam: DephasingFamily) -> OneParamChannel:
-    """Natural Kraus pairs of the general dephasing family at theta=0.
+    """Natural Kraus pairs of the general dephasing family at theta=0, built once per family.
 
     ``K0 = sqrt(1-p) I``, ``K1 = sqrt(p) Z`` with derivatives
     ``dK0 = -i sqrt(1-p) G0 - pdot/(2 sqrt(1-p)) I`` and
     ``dK1 = -i sqrt(p) Z G1 + pdot/(2 sqrt(p)) Z``.
     """
-    p, pdot = fam.p, fam.pdot
-    sq0, sq1 = np.sqrt(1.0 - p), np.sqrt(p)
-    k0 = sq0 * I2
-    k1 = sq1 * Z
-    dk0 = -1j * sq0 * fam.g0 - pdot / (2.0 * sq0) * I2
-    dk1 = -1j * sq1 * (Z @ fam.g1) + pdot / (2.0 * sq1) * Z
-    return OneParamChannel([(k0, dk0), (k1, dk1)])
+    return fam._channel
 
 
-def x_rotation_dephasing(p: float, pdot: float = 0.0) -> DephasingFamily:
-    """Dephasing noise followed by a Pauli-X rotation: ``G0 = X``, ``G1 = -X``."""
-    return DephasingFamily(p, pdot, X, -X)
+def x_rotation_dephasing(p: float) -> DephasingFamily:
+    """Dephasing noise followed by a Pauli-X rotation: ``G0 = X``, ``G1 = -X``, ``pdot = 0``."""
+    return DephasingFamily(p, 0.0, X, -X)
 
 
 def rotated_family(ks: KrausSet, generator: np.ndarray) -> OneParamChannel:

@@ -20,6 +20,7 @@ from qmetro.bounds import (
 from qmetro.channel_model import (
     DephasingFamily,
     NotApplicableError,
+    OneParamChannel,
     dephasing_channel,
     depolarizing_kraus,
     random_dephasing_family,
@@ -36,7 +37,6 @@ from qmetro.qubit_core import (
     Z,
     BlochState,
     DomainError,
-    KrausSet,
     PauliTransferMap,
     ValidationError,
     apply_kraus,
@@ -201,6 +201,21 @@ class TestExtensionBound:
                 extension_bound(fam, identity_steps(fam, 3))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_one_channel_per_family(self, monkeypatch):
+        made = []
+        init = OneParamChannel.__init__
+
+        def counted(self, kraus):
+            made.append(kraus)
+            init(self, kraus)
+
+        monkeypatch.setattr(OneParamChannel, "__init__", counted)
+        fam = x_rotation_dephasing(0.1)
+        steps = identity_steps(fam, 50)
+        for _ in range(200):
+            extension_bound(fam, steps)
+        assert len(made) == 1
+
     def test_total_is_sum_of_terms(self, rng):
         fam = random_dephasing_family(rng)
         steps = [ExtensionStep(random_unital_ptm(rng), unital_gauge(fam)) for _ in range(20)]
@@ -267,6 +282,18 @@ class TestPauliCoordinateOracle:
         fam = DephasingFamily(0.13, 0.4, X + 0.3 * Z, -0.6 * Y + 0.2 * Z)
         steps = [ExtensionStep(IDENT)] * 5000
         assert_matches_oracle(extension_bound(fam, steps), matrix_extension_bound(fam, steps))
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1300])
+    def test_default_gauge_across_blocks(self, rng, n):
+        fam = random_dephasing_family(rng, p_range=(0.05, 0.5))
+        steps = [ExtensionStep(mildly_nonunital_ptm(rng), None) for _ in range(n)]
+        assert_matches_oracle(extension_bound(fam, steps), matrix_extension_bound(fam, steps))
+
+    def test_explicit_gauges_across_blocks(self, rng):
+        ch = random_one_param_channel(rng, env=3)
+        gauges = [random_hermitian_gauge(rng, 3) for _ in range(3)]
+        steps = [ExtensionStep(mildly_nonunital_ptm(rng), gauges[k % 3]) for k in range(600)]
+        assert_matches_oracle(extension_bound(ch, steps), matrix_extension_bound(ch, steps))
 
     def test_pole_iota_raises_domain_error(self):
         # a reset to |0> drives iota to I + Z, where |Tr(iota Z)/2| = 1
@@ -437,37 +464,45 @@ class TestStackedForms:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The shapes of the gauge stacks ``extension_bound`` builds coordinates for."""
-        shapes = []
+        """The row counts of the gauge and coordinate stacks ``extension_bound`` builds."""
+        rows = []
 
-        def recorded(ch, hs):
-            shapes.append(hs.shape)
-            return _stacked_coordinates(ch, hs)
+        def recorded(build):
+            def run(ch, stack):
+                rows.append(len(stack))
+                return build(ch, stack)
 
-        monkeypatch.setattr(bounds, "_stacked_coordinates", recorded)
-        return shapes
+            return run
 
-    def test_identical_steps_build_one_gauge(self, built):
+        monkeypatch.setattr(bounds, "_stacked_coordinates", recorded(_stacked_coordinates))
+        monkeypatch.setattr(bounds, "_nonunital_gauges", recorded(_nonunital_gauges))
+        return rows
+
+    def test_identical_steps_stack_one_block_at_a_time(self, built):
         fam = DephasingFamily(0.13, 0.4, X + 0.3 * Z, -0.6 * Y + 0.2 * Z)
         extension_bound(fam, [ExtensionStep(IDENT)] * 5000)
-        assert built == [(1, 2, 2)]
+        assert built and max(built) <= bounds._BLOCK
 
-    def test_each_distinct_gauge_is_built_once(self, rng, built):
-        ch = random_one_param_channel(rng, env=3)
-        gauges = [random_hermitian_gauge(rng, 3) for _ in range(3)]
-        extension_bound(ch, [ExtensionStep(random_unital_ptm(rng), gauges[k % 3]) for k in range(30)])
-        fam = x_rotation_dephasing(0.1)
-        damping = ptm_from_kraus(KrausSet([np.diag([1.0, np.sqrt(0.98)]), [[0.0, np.sqrt(0.02)], [0.0, 0.0]]]))
-        # a unital gauge shared by identity, plus a default gauge for each new iota that damping makes
-        steps = [ExtensionStep(IDENT, unital_gauge(fam))] * 10 + [ExtensionStep(damping)] * 20
-        extension_bound(fam, steps)
-        assert built == [(3, 3, 3), (21, 2, 2)]
+    def test_distinct_steps_stack_one_block_at_a_time(self, rng, built):
+        fam = random_dephasing_family(rng, p_range=(0.05, 0.5))
+        extension_bound(fam, [ExtensionStep(mildly_nonunital_ptm(rng)) for _ in range(1300)])
+        assert built and max(built) <= bounds._BLOCK
 
     def test_wrong_shape_gauge_among_many_rejected(self, rng):
         ch = random_one_param_channel(rng, env=2)
         good, bad = random_hermitian_gauge(rng, 2), GaugeMatrix(np.zeros((3, 3)))
         with pytest.raises(ValidationError, match=r"gauge must be 2x2 for this channel, got \(3, 3\)"):
             extension_bound(ch, [ExtensionStep(IDENT, good), ExtensionStep(IDENT, bad)])
+
+    def test_rejections_in_a_later_block(self, rng):
+        fam = x_rotation_dephasing(0.1)
+        reset = ExtensionStep(PauliTransferMap([0.0, 0.0, 1.0], np.zeros((3, 3))))
+        with pytest.raises(DomainError, match=r"\|Tr\(iota Z\)/2\| = 1 >= 1: control too non-unital"):
+            extension_bound(fam, [ExtensionStep(IDENT)] * 600 + [reset, ExtensionStep(IDENT)])
+        ch = random_one_param_channel(rng, env=2)
+        good, bad = random_hermitian_gauge(rng, 2), GaugeMatrix(np.zeros((3, 3)))
+        with pytest.raises(ValidationError, match=r"gauge must be 2x2 for this channel, got \(3, 3\)"):
+            extension_bound(ch, [ExtensionStep(IDENT, good)] * 600 + [ExtensionStep(IDENT, bad)])
 
 
 class TestNonunitalGauge:

@@ -63,7 +63,7 @@ class TestClassify:
         tol = 1e-7
         ptm = PauliTransferMap(np.zeros(3), np.diag([1.0 - tol, 0.5, 0.5]))
         with pytest.raises(AmbiguousClassificationError):
-            classify(ptm, tol=tol)
+            classify(ptm)
 
     def test_basis_invariance(self, rng):
         base = ptm_from_kraus(damping_set(0.3))
@@ -109,6 +109,11 @@ class TestDephasingChannel:
             assert np.isclose(back.pdot, fam.pdot)
             assert np.allclose(back.g0, fam.g0)
             assert np.allclose(back.g1, fam.g1)
+
+    def test_built_once_per_family(self):
+        fam = x_rotation_dephasing(0.1)
+        assert dephasing_channel(fam) is dephasing_channel(fam)
+        assert dephasing_channel(x_rotation_dephasing(0.1)) is not dephasing_channel(fam)
 
 
 class TestStackedKraus:
