@@ -17,14 +17,14 @@ The recursion runs in Pauli coordinates ``c_j = Tr(sigma_j A)``: ``iota``
 and ``gamma`` are real 4-vectors, the channel and each control 4x4 maps
 ``[[1, 0], [t, T]]``, and each gauge fixes the coordinates ``a`` of ``alpha``,
 ``b`` of ``beta`` and the map ``ubeta = U iota`` (:func:`step_coordinates`).
-A step adds ``2 iota.a`` and ``4 gamma.b``, sets ``gamma <- C (E gamma + U iota)``
-and ``iota <- C E iota``, and ``||gamma||_1 = max(|c_0|, |c_(1:)|)``.
+A step adds ``2 iota.a`` and ``4 gamma.b``, maps ``iota -> C E iota`` and ``(gamma, 1)`` by the
+affine 5x5 step ``[[C E, C U iota], [0, 1]]``, and ``||gamma||_1 = max(|c_0|, |c_(1:)|)``.
 
-:func:`extension_bound` streams the steps in blocks of ``_BLOCK``, carrying
-``iota`` and ``gamma`` from one block to the next.  For each block it stacks the
-controls' ``C E``, runs the ``iota`` pass, builds the block's gauges (the default
-ones at once from its ``iota`` rows) and their ``(a, b, U)`` in one stacked
-build, then runs the ``gamma`` pass; the terms are vector operations.
+:func:`extension_bound` streams the steps in blocks of ``_BLOCK``, carrying the last ``iota``
+and ``gamma`` rows from block to block.  In each block it reads the ``iota`` rows off one up-
+and down-sweep of the offsets ``C E - I`` (the prefix products of ``qubit_core``, which the
+protocols share), builds the gauges (the default ones at once from those rows) and their
+``(a, b, U)`` in one stacked build, then sweeps the lifted offsets for the ``gamma`` rows.
 
 Closed-form constant ceilings are provided for dephasing families violating
 the RGNKS condition and for strictly contractive channels, together with the
@@ -49,7 +49,9 @@ from .qubit_core import (
     DomainError,
     PauliTransferMap,
     ValidationError,
+    _down_sweep,
     _overflow_is_domain_error,
+    _up_sweep,
     pauli_sandwich,
     ptm_from_kraus,
     require_cptp,
@@ -197,31 +199,31 @@ def extension_bound(ch, steps) -> BoundReport:
         raise ValidationError("explicit gauges are required for general one-parameter channels")
     chan = ptm_from_kraus(base.kraus_set()).matrix  # first row exactly (1, 0, 0, 0)
     n, r = len(steps), len(base.k_ops)
-    # per step k: iotas[k] = iota_{k-1}, gammas[k] = gamma_k and the gauge's a and b
-    iotas, gammas, a, b = np.empty((4, n, 4))
-    iota, gamma = np.array([2.0, 0.0, 0.0, 0.0]), np.zeros(4)  # iota_0 = I, gamma_0 = 0
+    # rows j = 0..n: iotas[j] = iota_j, gammas[j] = gamma_j; a[j] and b[j] belong to step j + 1
+    iotas, gammas = np.zeros((2, n + 1, 4))
+    iotas[0, 0] = 2.0  # iota_0 = I, gamma_0 = 0
+    a, b = np.empty((2, n, 4))
     for lo in range(0, n, _BLOCK):
-        k = slice(lo, lo + _BLOCK)
-        block = steps[k]
+        block = steps[lo : lo + _BLOCK]
+        m = len(block)
+        k, k1 = slice(lo, lo + m), slice(lo + 1, lo + m + 1)  # rows of the block's iota_{k-1} and iota_k
         controls = np.array([step.control.matrix for step in block])
-        after = controls @ chan  # each step's C E
-        for m, row in zip(after, iotas[k]):
-            row[...] = iota
-            iota = m.dot(iota)
-        hs = np.empty((len(block), r, r), dtype=complex)
+        offsets = controls @ chan - np.eye(4)  # each step's C E - I
+        iotas[k1] = iotas[lo] + _down_sweep(_up_sweep(offsets)) @ iotas[lo]
+        hs = np.empty((m, r, r), dtype=complex)
         default = np.array([step.gauge is None for step in block])
         for j in np.flatnonzero(~default):
             hs[j] = _gauge_matrix(base, block[j].gauge)
         if default.any():
             hs[default] = _nonunital_gauges(fam, iotas[k][default])
         a[k], b[k], u = _stacked_coordinates(base, hs)
-        # the gamma pass: gamma_k = C_k E gamma_{k-1} + C_k U_k iota_{k-1}
-        forcing = (controls @ (u @ iotas[k, :, None]))[..., 0]
-        for m, f, row in zip(after, forcing, gammas[k]):
-            gamma = row[...] = m.dot(gamma) + f
-    alpha_terms = (2.0 * (iotas * a).sum(1)).tolist()
-    cross_terms = (4.0 * (gammas[:-1] * b[1:]).sum(1)).tolist()
-    gamma_norms = np.maximum(np.abs(gammas[:, 0]), np.sqrt((gammas[:, 1:] ** 2).sum(1))).tolist()
+        # gamma_k = C_k E gamma_{k-1} + f_k with f_k = C_k U_k iota_{k-1}: the steps [[C_k E, f_k], [0, 1]]
+        lifted = np.zeros((m, 5, 5))
+        lifted[:, :4] = np.concatenate([offsets, controls @ (u @ iotas[k, :, None])], axis=2)
+        gammas[k1] = gammas[lo] + (_down_sweep(_up_sweep(lifted)) @ np.append(gammas[lo], 1.0))[:, :4]
+    alpha_terms = (2.0 * (iotas[:-1] * a).sum(1)).tolist()
+    cross_terms = (4.0 * (gammas[1:-1] * b[1:]).sum(1)).tolist()
+    gamma_norms = np.maximum(np.abs(gammas[1:, 0]), np.sqrt((gammas[1:, 1:] ** 2).sum(1))).tolist()
     return BoundReport(
         n=n,
         total=float(sum(alpha_terms) + sum(cross_terms)),

@@ -17,8 +17,9 @@ O(log n) products by binary powering on the offset ``C K - I``, so that it
 rounds no worse than the step-by-step loop.  Per-step controls (and
 trajectory recording) form all step offsets ``C_k K - I`` in one batched
 expression and compose them pairwise in offset form, in log2 n batched
-products (:func:`_up_sweep`); a trajectory reads every prefix product off the
-same tree (:func:`_down_sweep`), so its last point is the plain run's terminal.
+products; a trajectory reads every prefix product off the same tree, so its last
+point is the plain run's terminal.  These up- and down-sweeps live in ``qubit_core``
+(``_up_sweep``, ``_down_sweep``), and :mod:`qmetro.bounds` runs its recursion on them.
 
 The QEC protocol propagates the full two-qubit density matrix and its
 derivative through the repetition-code recovery channel.  One step is the
@@ -59,7 +60,9 @@ from .qubit_core import (
     DomainError,
     PauliTransferMap,
     ValidationError,
+    _down_sweep,
     _overflow_is_domain_error,
+    _up_sweep,
     ptm_derivative_from_kraus,
     ptm_from_kraus,
     require_cptp,
@@ -258,47 +261,6 @@ def _kernel_steps(fam, c: np.ndarray) -> np.ndarray:
 def _step_offsets(fam, shifts, rotations) -> np.ndarray:
     """Offsets ``C K - I`` of the lifted steps, one per control ``(t_k, T_k)``."""
     return _kernel_steps(fam, _control_offsets(shifts, rotations))
-
-
-def _up_sweep(e: np.ndarray) -> list:
-    """The levels of the pairwise product of the steps ``I + e_k`` of an (n, d, d) ``e``, n >= 1.
-
-    Level 0 is ``e``; each next level composes neighbours in offset form,
-    ``(I + b)(I + a) - I = a + b + b a`` with ``a`` applied first, and carries an
-    odd last entry up unchanged, so the last level holds the offset of the whole
-    product ``(I + e_n) ... (I + e_1) - I``.  That is log2 n batched products,
-    each rounded against ``|e|`` rather than against the identity (as in
-    :func:`_advance`).
-    """
-    levels = [e]
-    while len(levels[-1]) > 1:
-        lower = levels[-1]
-        a, b = lower[0:-1:2], lower[1::2]
-        up = a + b + b @ a
-        levels.append(np.concatenate([up, lower[-1:]]) if len(lower) % 2 else up)
-    return levels
-
-
-def _down_sweep(levels: list) -> np.ndarray:
-    """The offsets of every prefix product ``(I + e_k) ... (I + e_1) - I``, k = 1..n, from the
-    levels of :func:`_up_sweep`.
-
-    A right child (or a carried entry) ends where its parent ends, so it takes the parent's
-    prefix as it is; a left child takes the prefix of its parent's left neighbour times itself.
-    The last prefix is therefore the product's own offset, bit for bit.
-    """
-    prefix = levels[-1]
-    for lower in reversed(levels[:-1]):
-        pairs = len(lower) // 2
-        out = np.empty(lower.shape, lower.dtype)
-        out[1 : 2 * pairs : 2] = prefix[:pairs]
-        out[0] = lower[0]
-        before, left = prefix[: pairs - 1], lower[2 : 2 * pairs : 2]
-        out[2 : 2 * pairs : 2] = before + left + left @ before
-        if len(lower) % 2:
-            out[-1] = prefix[-1]
-        prefix = out
-    return prefix
 
 
 def _start(v0: BlochState) -> np.ndarray:

@@ -440,6 +440,47 @@ def kraus_from_ptm(ptm: PauliTransferMap) -> KrausSet:
     return kraus_from_choi(choi_from_ptm(ptm))
 
 
+def _up_sweep(e: np.ndarray) -> list:
+    """The levels of the pairwise product of the steps ``I + e_k`` of an (n, d, d) ``e``, n >= 1.
+
+    Level 0 is ``e``; each next level composes neighbours in offset form,
+    ``(I + b)(I + a) - I = a + b + b a`` with ``a`` applied first, and carries an
+    odd last entry up unchanged, so the last level holds the offset of the whole
+    product ``(I + e_n) ... (I + e_1) - I``.  That is log2 n batched products,
+    each rounded against ``|e|`` rather than against the identity (as in
+    :func:`qmetro.protocols._advance`).
+    """
+    levels = [e]
+    while len(levels[-1]) > 1:
+        lower = levels[-1]
+        a, b = lower[0:-1:2], lower[1::2]
+        up = a + b + b @ a
+        levels.append(np.concatenate([up, lower[-1:]]) if len(lower) % 2 else up)
+    return levels
+
+
+def _down_sweep(levels: list) -> np.ndarray:
+    """The offsets of every prefix product ``(I + e_k) ... (I + e_1) - I``, k = 1..n, from the
+    levels of :func:`_up_sweep`.
+
+    A right child (or a carried entry) ends where its parent ends, so it takes the parent's
+    prefix as it is; a left child takes the prefix of its parent's left neighbour times itself.
+    The last prefix is therefore the product's own offset, bit for bit.
+    """
+    prefix = levels[-1]
+    for lower in reversed(levels[:-1]):
+        pairs = len(lower) // 2
+        out = np.empty(lower.shape, lower.dtype)
+        out[1 : 2 * pairs : 2] = prefix[:pairs]
+        out[0] = lower[0]
+        before, left = prefix[: pairs - 1], lower[2 : 2 * pairs : 2]
+        out[2 : 2 * pairs : 2] = before + left + left @ before
+        if len(lower) % 2:
+            out[-1] = prefix[-1]
+        prefix = out
+    return prefix
+
+
 # ---------------------------------------------------------------------------
 # Random instances (exact CPTP by construction, for property tests and
 # estimators)

@@ -5,7 +5,9 @@ import pytest
 
 from qmetro import bounds
 from qmetro.bounds import (
+    BoundReport,
     ExtensionStep,
+    _gauge_matrix,
     _nonunital_gauges,
     _stacked_coordinates,
     bloch_inequality_check,
@@ -147,6 +149,56 @@ def assert_matches_oracle(report, oracle, rtol=1e-12):
         if want:
             floor = rtol * np.abs(want).max()
             np.testing.assert_allclose(got, want, rtol=rtol, atol=floor)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the recursion as two per-step passes of 4x4 products in each block,
+# as it ran before the prefix-product sweeps replaced them
+# ---------------------------------------------------------------------------
+
+
+def loop_extension_bound(ch, steps) -> BoundReport:
+    fam = ch if isinstance(ch, DephasingFamily) else None
+    base = ch if fam is None else dephasing_channel(fam)
+    chan = ptm_from_kraus(base.kraus_set()).matrix
+    n, r = len(steps), len(base.k_ops)
+    # per step k: iotas[k] = iota_{k-1}, gammas[k] = gamma_k and the gauge's a and b
+    iotas, gammas, a, b = np.empty((4, n, 4))
+    iota, gamma = np.array([2.0, 0.0, 0.0, 0.0]), np.zeros(4)
+    for lo in range(0, n, bounds._BLOCK):
+        k = slice(lo, lo + bounds._BLOCK)
+        block = steps[k]
+        controls = np.array([step.control.matrix for step in block])
+        after = controls @ chan
+        for m, row in zip(after, iotas[k]):
+            row[...] = iota
+            iota = m.dot(iota)
+        hs = np.empty((len(block), r, r), dtype=complex)
+        default = np.array([step.gauge is None for step in block])
+        for j in np.flatnonzero(~default):
+            hs[j] = _gauge_matrix(base, block[j].gauge)
+        if default.any():
+            hs[default] = _nonunital_gauges(fam, iotas[k][default])
+        a[k], b[k], u = _stacked_coordinates(base, hs)
+        forcing = (controls @ (u @ iotas[k, :, None]))[..., 0]
+        for m, f, row in zip(after, forcing, gammas[k]):
+            gamma = row[...] = m.dot(gamma) + f
+    alpha_terms = 2.0 * (iotas * a).sum(1)
+    cross_terms = 4.0 * (gammas[:-1] * b[1:]).sum(1)
+    gamma_norms = np.maximum(np.abs(gammas[:, 0]), np.sqrt((gammas[:, 1:] ** 2).sum(1)))
+    total = float(sum(alpha_terms.tolist()) + sum(cross_terms.tolist()))
+    return BoundReport(n, total, tuple(alpha_terms), tuple(cross_terms), tuple(gamma_norms))
+
+
+def assert_matches_loop(report, want, tol=1e-14):
+    """The total to ``tol`` relative to itself, each term to ``tol`` relative to the largest of its kind."""
+    assert report.n == want.n
+    assert abs(report.total - want.total) <= tol * abs(want.total)
+    for field in ("alpha_terms", "cross_terms", "gamma_norms"):
+        got, ref = np.array(getattr(report, field)), np.array(getattr(want, field))
+        assert got.shape == ref.shape
+        if len(ref):
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), field
 
 
 def mildly_nonunital_ptm(rng, max_weight=0.1):
@@ -341,6 +393,40 @@ class TestPauliCoordinateOracle:
             ExtensionStep(PauliTransferMap(np.zeros(3), 1.5 * np.eye(3)))
 
 
+class TestLoopOracle:
+    """The prefix-product sweeps against the per-step passes they replaced."""
+
+    def test_identity_controls_at_5000(self):
+        fam = DephasingFamily(0.13, 0.4, X + 0.3 * Z, -0.6 * Y + 0.2 * Z)
+        steps = [ExtensionStep(IDENT)] * 5000
+        assert_matches_loop(extension_bound(fam, steps), loop_extension_bound(fam, steps))
+
+    def test_benchmark_shaped_sequences(self, rng):
+        # n = 1..99 with n % 4 in (0, 1): odd lengths mix two rotations under the unital gauge,
+        # even ones are mildly non-unital under the default gauge
+        for n in [n for n in range(1, 101) if n % 4 in (0, 1)]:
+            fam = random_dephasing_family(rng, p_range=(0.05, 0.5))
+            if n % 2:
+                weights = rng.uniform(size=n)
+                mixes = [w * random_rotation(rng) + (1 - w) * random_rotation(rng) for w in weights]
+                steps = [ExtensionStep(PauliTransferMap(np.zeros(3), t), unital_gauge(fam)) for t in mixes]
+            else:
+                steps = [ExtensionStep(mildly_nonunital_ptm(rng)) for _ in range(n)]
+            assert_matches_loop(extension_bound(fam, steps), loop_extension_bound(fam, steps))
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1300])
+    def test_default_gauge_across_blocks(self, rng, n):
+        fam = random_dephasing_family(rng, p_range=(0.05, 0.5))
+        steps = [ExtensionStep(mildly_nonunital_ptm(rng)) for _ in range(n)]
+        assert_matches_loop(extension_bound(fam, steps), loop_extension_bound(fam, steps))
+
+    def test_explicit_gauges_across_blocks(self, rng):
+        ch = random_one_param_channel(rng, env=3)
+        gauges = [random_hermitian_gauge(rng, 3) for _ in range(3)]
+        steps = [ExtensionStep(mildly_nonunital_ptm(rng), gauges[k % 3]) for k in range(600)]
+        assert_matches_loop(extension_bound(ch, steps), loop_extension_bound(ch, steps))
+
+
 class TestBoundValidity:
     def test_random_unital_sequences_dominate_simulation(self, rng):
         for _ in range(50):
@@ -464,18 +550,19 @@ class TestStackedForms:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The row counts of the gauge and coordinate stacks ``extension_bound`` builds."""
+        """The row counts of the gauge and coordinate stacks ``extension_bound`` builds and sweeps."""
         rows = []
 
         def recorded(build):
-            def run(ch, stack):
-                rows.append(len(stack))
-                return build(ch, stack)
+            def run(*args):
+                rows.append(len(args[-1]))  # the stack is the last argument
+                return build(*args)
 
             return run
 
         monkeypatch.setattr(bounds, "_stacked_coordinates", recorded(_stacked_coordinates))
         monkeypatch.setattr(bounds, "_nonunital_gauges", recorded(_nonunital_gauges))
+        monkeypatch.setattr(bounds, "_up_sweep", recorded(bounds._up_sweep))
         return rows
 
     def test_identical_steps_stack_one_block_at_a_time(self, built):

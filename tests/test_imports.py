@@ -1,4 +1,5 @@
-"""Every name a ``qmetro`` module binds with a top-level import is used there or exported."""
+"""Every name a ``qmetro`` module binds with a top-level import is used there or exported, and
+every ``qmetro`` module imports only from the layers below its own."""
 
 import ast
 import pathlib
@@ -33,3 +34,36 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_import(path):
     assert not unused_imports(path), f"{path.name} imports names it never uses"
+
+
+# each layer imports only from the layers before it; the modules of one layer never import each other
+LAYERS = [
+    ("qubit_core",),
+    ("channel_model",),
+    ("fisher_info",),
+    ("protocols", "bounds"),
+    ("cli",),
+    ("__init__", "__main__"),
+]
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+
+def imported_modules(path: pathlib.Path) -> set[str]:
+    """The ``qmetro`` modules ``path`` imports, at top level or inside a function."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module.split(".")[0]] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qmetro":
+            parts = node.module.split(".")
+            out.update(parts[1:2] if len(parts) > 1 else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("qmetro."))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_follow_layers(path):
+    assert path.stem in RANK, f"{path.name} has no layer"
+    late = sorted(m for m in imported_modules(path) if RANK.get(m, len(LAYERS)) >= RANK[path.stem])
+    assert not late, f"{path.name} imports {late}, which are not in an earlier layer"

@@ -12,6 +12,8 @@ from qmetro.qubit_core import (
     KrausSet,
     PauliTransferMap,
     ValidationError,
+    _down_sweep,
+    _up_sweep,
     bloch_to_density,
     choi_from_kraus,
     choi_from_ptm,
@@ -111,13 +113,20 @@ class TestPauliDecompose:
 class TestPauliSandwich:
     def test_definition(self, rng):
         paulis = (I2, X, Y, Z)
-        for env in (1, 2, 3, 4):
-            left, right = random_ops(rng, env), random_ops(rng, env)
-            want = [
+
+        def definition(left, right):
+            return [
                 [sum(np.trace(si @ l @ sj @ r.conj().T) for l, r in zip(left, right)) for sj in paulis]
                 for si in paulis
             ]
-            assert np.abs(pauli_sandwich(left, right) - want).max() <= 1e-13
+
+        for env in (1, 2, 3, 4):
+            left, right = random_ops(rng, env), random_ops(rng, env)
+            assert np.abs(pauli_sandwich(left, right) - definition(left, right)).max() <= 1e-13
+            lefts, rights = (np.array([random_ops(rng, env) for _ in range(3)]) for _ in range(2))
+            assert lefts.shape == (3, env, 2, 2)
+            want = [definition(l, r) for l, r in zip(lefts, rights)]
+            assert np.abs(pauli_sandwich(lefts, rights) - want).max() <= 1e-13
 
     def test_ptm_matches_loop(self, rng):
         for env in (1, 2, 3, 4):
@@ -356,3 +365,28 @@ class TestValidateCptp:
             choi = choi_from_kraus(ks)
             back = choi_from_kraus(kraus_from_choi(choi))
             assert np.allclose(choi, back, atol=1e-10)
+
+
+def affine_offsets(rng, n, d):
+    """Offsets ``S_k - I`` of ``n`` random affine contractions ``S_k = [[s Q, f], [0, 1]]`` of size d,
+    with ``Q`` orthogonal, ``0.9 <= s <= 1`` and ``|f_i| <= 0.1``, so every product stays bounded."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, d - 1, d - 1)))
+    steps = np.zeros((n, d, d))
+    steps[:, :-1, :-1] = rng.uniform(0.9, 1.0, size=(n, 1, 1)) * q
+    steps[:, :-1, -1] = rng.uniform(-0.1, 0.1, size=(n, d - 1))
+    steps[:, -1, -1] = 1.0
+    return steps - np.eye(d)
+
+
+class TestPrefixSweeps:
+    @pytest.mark.parametrize("d", [4, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 511, 513])
+    def test_prefixes_match_step_loop(self, rng, d, n):
+        e = affine_offsets(rng, n, d)
+        prefixes = _down_sweep(_up_sweep(e))
+        assert prefixes.shape == (n, d, d)
+        product = np.eye(d)
+        for step, got in zip(e, prefixes):
+            product = (np.eye(d) + step) @ product
+            assert np.abs(got - (product - np.eye(d))).max() <= 1e-13
+        assert np.array_equal(prefixes[-1], _up_sweep(e)[-1][0])
