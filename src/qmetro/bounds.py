@@ -23,8 +23,9 @@ affine 5x5 step ``[[C E, C U iota], [0, 1]]``, and ``||gamma||_1 = max(|c_0|, |c
 :func:`extension_bound` streams the steps in blocks of ``_BLOCK``, carrying the last ``iota``
 and ``gamma`` rows from block to block.  In each block it reads the ``iota`` rows off one up-
 and down-sweep of the offsets ``C E - I`` (the prefix products of ``qubit_core``, which the
-protocols share), builds the gauges (the default ones at once from those rows) and their
-``(a, b, U)`` in one stacked build, then sweeps the lifted offsets for the ``gamma`` rows.
+protocols share), builds the gauges (the explicit ones in one stack with one shape check, the
+default ones at once from those rows) and their ``(a, b, U)`` in one stacked build, then
+sweeps the lifted offsets for the ``gamma`` rows.
 
 Closed-form constant ceilings are provided for dephasing families violating
 the RGNKS condition and for strictly contractive channels, together with the
@@ -65,7 +66,6 @@ __all__ = [
     "nonunital_gauge",
     "rgnks_violated_bound",
     "contractive_bound",
-    "bounded_ancilla_multiplier",
     "bloch_inequality_check",
     "BlochInequalityReport",
     "step_coordinates",
@@ -157,10 +157,18 @@ def _nonunital_gauges(fam: DephasingFamily, iotas: np.ndarray) -> np.ndarray:
 
 def _gauge_matrix(ch: OneParamChannel, gauge: GaugeMatrix) -> np.ndarray:
     """``gauge.h``, once its shape fits the Kraus rank of ``ch``."""
+    return _gauge_matrices(ch, [gauge])[0]
+
+
+def _gauge_matrices(ch: OneParamChannel, gauges: list) -> np.ndarray:
+    """The ``h`` of each of ``gauges`` as one (g, r, r) stack, once every shape fits the Kraus
+    rank ``r`` of ``ch``; :class:`ValidationError` names the first shape that does not."""
     r = len(ch.k_ops)
-    if gauge.h.shape != (r, r):
-        raise ValidationError(f"gauge must be {r}x{r} for this channel, got {gauge.h.shape}")
-    return gauge.h
+    hs = [gauge.h for gauge in gauges]
+    if {h.shape for h in hs} != {(r, r)}:
+        wrong = next(h.shape for h in hs if h.shape != (r, r))
+        raise ValidationError(f"gauge must be {r}x{r} for this channel, got {wrong}")
+    return np.array(hs)
 
 
 def step_coordinates(ch: OneParamChannel, gauge: GaugeMatrix):
@@ -210,10 +218,11 @@ def extension_bound(ch, steps) -> BoundReport:
         controls = np.array([step.control.matrix for step in block])
         offsets = controls @ chan - np.eye(4)  # each step's C E - I
         iotas[k1] = iotas[lo] + _down_sweep(_up_sweep(offsets)) @ iotas[lo]
+        gauges = [step.gauge for step in block]
+        default = np.array([gauge is None for gauge in gauges])
         hs = np.empty((m, r, r), dtype=complex)
-        default = np.array([step.gauge is None for step in block])
-        for j in np.flatnonzero(~default):
-            hs[j] = _gauge_matrix(base, block[j].gauge)
+        if not default.all():
+            hs[~default] = _gauge_matrices(base, [gauge for gauge in gauges if gauge is not None])
         if default.any():
             hs[default] = _nonunital_gauges(fam, iotas[k][default])
         a[k], b[k], u = _stacked_coordinates(base, hs)
@@ -269,19 +278,6 @@ def contractive_bound(ch: OneParamChannel) -> float:
     return float(f_channel / (1.0 - np.sqrt(eta)) ** 2)
 
 
-@_overflow_is_domain_error
-def bounded_ancilla_multiplier(n_ancilla: int) -> float:
-    """Factor ``2^{n_A}`` carried by the linear QFI bound with ``n_A`` noiseless ancillas.
-
-    With unital controls acting across the probe and a bounded ancilla, the
-    channel-extension bound grows by at most this factor; the recursion itself
-    is not extended to the enlarged system here.  Raises :class:`DomainError` when it overflows.
-    """
-    if n_ancilla < 0:
-        raise DomainError("ancilla count must be nonnegative")
-    return float(2**n_ancilla)
-
-
 @dataclass(frozen=True)
 class BlochInequalityReport:
     holds: bool
@@ -291,7 +287,7 @@ class BlochInequalityReport:
 
 def bloch_inequality_check(ptm: PauliTransferMap) -> BlochInequalityReport:
     """Necessary CPTP condition ``||t||^2 <= (1 - s_min(T)^2)(1 - ||T||^2)``."""
-    svals = np.linalg.svd(ptm.T, compute_uv=False)
+    svals = ptm.singular_values
     lhs = float(ptm.t @ ptm.t)
     rhs = float((1.0 - svals.min() ** 2) * (1.0 - svals.max() ** 2))
     return BlochInequalityReport(holds=lhs <= rhs + 1e-10, lhs=lhs, rhs=rhs)

@@ -36,7 +36,6 @@ from .qubit_core import (
     I2,
     PAULIS,
     X,
-    Y,
     Z,
     DomainError,
     KrausSet,
@@ -67,9 +66,6 @@ __all__ = [
     "solve_h_annihilating",
     "x_rotation_dephasing",
     "rotated_family",
-    "depolarizing_kraus",
-    "random_dephasing_family",
-    "random_one_param_channel",
 ]
 
 CLASSIFY_TOL = 1e-7
@@ -298,7 +294,7 @@ def classify(ptm: PauliTransferMap) -> ChannelClass:
     """
     if not ptm.validated:
         require_cptp(ptm)
-    svals = np.linalg.svd(ptm.T, compute_uv=False)  # descending
+    svals = ptm.singular_values
     edge = 1.0 - CLASSIFY_TOL
     tag = _TAGS.get(int((svals > edge).sum()))
     if tag is None or np.any(np.abs(svals - edge) < _EDGE_GUARD * CLASSIFY_TOL):
@@ -330,17 +326,6 @@ def rotated_family(ks: KrausSet, generator: np.ndarray) -> OneParamChannel:
     """One-parameter family ``e^{-i G theta} E(.) e^{+i G theta}`` at theta=0."""
     g = require_hermitian(generator, name="generator")
     return OneParamChannel._of_kraus_set(ks, -1j * g @ ks.ops)
-
-
-def depolarizing_kraus(lam: float) -> KrausSet:
-    """Depolarizing channel ``rho -> lam rho + (1-lam) I/2`` as a Pauli mixture."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("depolarizing strength must lie in [0, 1]")
-    c0 = (1.0 + 3.0 * lam) / 4.0
-    cp = (1.0 - lam) / 4.0
-    return KrausSet(
-        [np.sqrt(c0) * I2, np.sqrt(cp) * X, np.sqrt(cp) * Y, np.sqrt(cp) * Z]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,38 +415,3 @@ def solve_h_annihilating(ks: KrausSet, h_target: np.ndarray) -> AnnihilatingGaug
     h = _span_lstsq(canon.ops, h_target, 1e-12)[1]
     total = h_target + np.einsum("ij,iba,jbc->ac", h, canon.ops.conj(), canon.ops)
     return AnnihilatingGauge(h=h, kraus=canon, residual=float(np.linalg.norm(total, 2)))
-
-
-# ---------------------------------------------------------------------------
-# Random families (property tests, estimators)
-# ---------------------------------------------------------------------------
-
-
-def random_dephasing_family(
-    rng: np.random.Generator, p_range: tuple[float, float] = (0.02, 0.5)
-) -> DephasingFamily:
-    p = rng.uniform(*p_range)
-    pdot = rng.normal()
-    coeffs = rng.normal(size=(2, 3))
-    g0 = coeffs[0, 0] * X + coeffs[0, 1] * Y + coeffs[0, 2] * Z
-    g1 = coeffs[1, 0] * X + coeffs[1, 1] * Y + coeffs[1, 2] * Z
-    return DephasingFamily(p, pdot, g0, g1)
-
-
-def random_one_param_channel(
-    rng: np.random.Generator, dim: int = 2, env: int = 4
-) -> OneParamChannel:
-    """Random differentiable family from a rotating Stinespring isometry.
-
-    ``K_i(theta) = (I x <i|) e^{-i H_env theta} V`` is exactly CPTP for every
-    theta, so the pair list satisfies the first-order invariants by
-    construction.
-    """
-    a = rng.normal(size=(dim * env, dim)) + 1j * rng.normal(size=(dim * env, dim))
-    iso, _ = np.linalg.qr(a)
-    h_env = rng.normal(size=(dim * env, dim * env)) + 1j * rng.normal(size=(dim * env, dim * env))
-    h_env = (h_env + h_env.conj().T) / 2.0
-    diso = -1j * (h_env @ iso)
-    blocks = iso.reshape(dim, env, dim)
-    dblocks = diso.reshape(dim, env, dim)
-    return OneParamChannel([(blocks[:, e, :], dblocks[:, e, :]) for e in range(env)])

@@ -61,7 +61,6 @@ __all__ = [
     "channel_qfi_ancilla",
     "channel_qfi_no_ancilla",
     "eta_bound",
-    "eta_estimate",
 ]
 
 EIG_PAIR_CUTOFF = 1e-12
@@ -455,36 +454,4 @@ def eta_bound(ptm: PauliTransferMap) -> float:
     For qubit channels this upper-bounds the QFI contraction coefficient; it
     is below 1 exactly for strictly contractive channels.
     """
-    return float(np.linalg.svd(ptm.T, compute_uv=False).max())
-
-
-def eta_estimate(ptm: PauliTransferMap, trials: int, seed: int = 0) -> float:
-    """Sampled lower estimate of ``sup F(N(sigma_theta)) / F(sigma_theta)``.
-
-    States are drawn with ``||v|| <= 0.99`` and a unit derivative whose
-    radial component is projected out near the boundary, keeping the family
-    inside the Bloch ball and the ratio well conditioned.
-    """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        radius = 0.99 * rng.uniform() ** (1.0 / 3.0)
-        v = radius * direction
-        dv = rng.normal(size=3)
-        dv /= np.linalg.norm(dv)
-        if radius > 0.95:
-            dv = dv - (direction @ dv) * direction
-            norm = np.linalg.norm(dv)
-            if norm < 1e-12:
-                continue
-            dv /= norm
-        denom = qfi_bloch((v, dv))
-        if denom < 1e-12:
-            continue
-        num = qfi_bloch((ptm.apply_bloch(v), ptm.T @ dv))
-        best = max(best, num / denom)
-    return best
+    return float(ptm.singular_values[0])

@@ -49,7 +49,7 @@ from .channel_model import (
     NotApplicableError,
     OneParamChannel,
 )
-from .fisher_info import Povm, _bloch_qfi, qfi_bloch, qfi_state
+from .fisher_info import _bloch_qfi, qfi_bloch, qfi_state
 from .qubit_core import (
     I2,
     X,
@@ -81,7 +81,6 @@ __all__ = [
     "repeated_measurement_rows",
     "spam_fi",
     "spam_fi_rows",
-    "spam_povm",
     "qec_repetition_sim",
     "qec_repetition_rows",
     "qec_analytic",
@@ -515,14 +514,6 @@ def spam_fi_rows(fam: DephasingFamily, ns, w: float, q: float, variant: str = "g
     if z0 <= 0.0:
         return 0.0
     return [_spam_readout(z0, r.terminal) for r in _sql_results(fam, ns, w, variant, z0)]
-
-
-def spam_povm(q: float) -> Povm:
-    """The fixed SPAM readout POVM ``{(1-q)|0><0| + q|1><1|, complement}``."""
-    m = (1.0 - q) * np.array([[1, 0], [0, 0]], dtype=complex) + q * np.array(
-        [[0, 0], [0, 1]], dtype=complex
-    )
-    return Povm([m, I2 - m])
 
 
 # ---------------------------------------------------------------------------

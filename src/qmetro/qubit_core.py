@@ -43,21 +43,12 @@ __all__ = [
     "pauli_decompose",
     "pauli_compose",
     "pauli_sandwich",
-    "bloch_to_density",
-    "density_to_bloch",
     "ptm_from_kraus",
     "ptm_derivative_from_kraus",
-    "choi_from_kraus",
     "choi_from_ptm",
-    "kraus_from_choi",
-    "kraus_from_ptm",
     "validate_cptp",
     "require_cptp",
     "apply_kraus",
-    "random_cptp_kraus",
-    "random_unitary",
-    "random_rotation",
-    "random_unital_ptm",
 ]
 
 HERM_ATOL = 1e-12
@@ -248,6 +239,13 @@ class PauliTransferMap:
         m.flags.writeable = False
         return m
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The singular values of ``T`` in descending order, computed once, read-only."""
+        s = np.linalg.svd(self.T, compute_uv=False)
+        s.flags.writeable = False
+        return s
+
     def apply_hermitian(self, op: np.ndarray) -> np.ndarray:
         """Channel action on a Hermitian 2x2 operator (trace is preserved)."""
         return pauli_compose(self.matrix @ pauli_decompose(op))
@@ -301,7 +299,7 @@ class CptpReport:
 
 
 # ---------------------------------------------------------------------------
-# Pauli and Bloch conversions
+# Pauli coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -320,21 +318,6 @@ def pauli_compose(c: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_decompose`: ``sum_j c_j sigma_j / 2``."""
     c = np.asarray(c, dtype=float).reshape(4)
     return (c[0] * I2 + c[1] * X + c[2] * Y + c[3] * Z) / 2.0
-
-
-def bloch_to_density(b: BlochState) -> DensityState:
-    """Lift (v, dv) to ``rho = (I + v.sigma)/2`` and ``drho = dv.sigma/2``."""
-    rho = (I2 + b.v[0] * X + b.v[1] * Y + b.v[2] * Z) / 2.0
-    drho = (b.dv[0] * X + b.dv[1] * Y + b.dv[2] * Z) / 2.0
-    return DensityState(rho, drho)
-
-
-def density_to_bloch(s: DensityState) -> BlochState:
-    if s.dim != 2:
-        raise ValidationError("density_to_bloch expects a qubit state")
-    v = np.array([np.trace(s.rho @ p).real for p in SIGMA])
-    dv = np.array([np.trace(s.drho @ p).real for p in SIGMA])
-    return BlochState(v, dv)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +365,6 @@ def ptm_derivative_from_kraus(k_ops, dk_ops) -> tuple[np.ndarray, np.ndarray]:
     return m[1:, 0], m[1:, 1:]
 
 
-def choi_from_kraus(ks: KrausSet) -> np.ndarray:
-    """Unnormalized Choi matrix ``sum_i vec(K_i) vec(K_i)^dag`` (row-major vec)."""
-    v = ks.ops.reshape(len(ks.ops), -1)
-    return v.T @ v.conj()
-
-
 def choi_from_ptm(ptm: PauliTransferMap) -> np.ndarray:
     """Choi matrix ``sum_ij R_ij sigma_i kron sigma_j^T / 2`` of the 4x4 map ``R``."""
     return (ptm.matrix.ravel() @ _CHOI_BASIS).reshape(4, 4)
@@ -423,21 +400,6 @@ def require_cptp(ptm: PauliTransferMap) -> None:
             f"map is not CPTP (min Choi eigenvalue {report.min_eigenvalue:.3e}, "
             f"TP residual {report.tp_residual:.3e})"
         )
-
-
-def kraus_from_choi(choi: np.ndarray) -> KrausSet:
-    """Kraus operators from a PSD Choi matrix via eigendecomposition, dropping eigenvalues <= 1e-12."""
-    choi = require_hermitian(choi, atol=1e-10, name="Choi matrix")
-    d = int(round(math.sqrt(choi.shape[0])))
-    lam, vecs = np.linalg.eigh(choi)
-    if lam.min() < -PSD_ATOL:
-        raise ValidationError(f"Choi matrix is not PSD (min eigenvalue {lam.min():.3e})")
-    return KrausSet([np.sqrt(v) * vec.reshape(d, d) for v, vec in zip(lam, vecs.T) if v > 1e-12])
-
-
-def kraus_from_ptm(ptm: PauliTransferMap) -> KrausSet:
-    """Lift an affine Bloch map to Kraus operators (must be CPTP)."""
-    return kraus_from_choi(choi_from_ptm(ptm))
 
 
 def _up_sweep(e: np.ndarray) -> list:
@@ -479,37 +441,3 @@ def _down_sweep(levels: list) -> np.ndarray:
             out[-1] = prefix[-1]
         prefix = out
     return prefix
-
-
-# ---------------------------------------------------------------------------
-# Random instances (exact CPTP by construction, for property tests and
-# estimators)
-# ---------------------------------------------------------------------------
-
-
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_cptp_kraus(rng: np.random.Generator, dim: int = 2, env: int = 4) -> KrausSet:
-    """Random channel from a Haar-ish Stinespring isometry on an ``env``-level environment."""
-    a = rng.normal(size=(dim * env, dim)) + 1j * rng.normal(size=(dim * env, dim))
-    iso, _ = np.linalg.qr(a)
-    blocks = iso.reshape(dim, env, dim)
-    return KrausSet([blocks[:, e, :] for e in range(env)])
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Random SO(3) matrix (Bloch action of a Haar-random qubit unitary)."""
-    u = random_unitary(rng, 2)
-    return ptm_from_kraus(KrausSet([u])).T
-
-
-def random_unital_ptm(rng: np.random.Generator) -> PauliTransferMap:
-    """Random unital qubit channel as a convex mixture of two rotations."""
-    weights = rng.dirichlet(np.ones(2))
-    T = sum(w * random_rotation(rng) for w in weights)
-    return PauliTransferMap(np.zeros(3), T, validated=True)

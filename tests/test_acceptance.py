@@ -8,6 +8,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from conftest import fd_bures_qfi, random_traceless_hermitian
+from oracles import (
+    bloch_to_density,
+    depolarizing_kraus,
+    eta_estimate,
+    random_cptp_kraus,
+    random_dephasing_family,
+    random_one_param_channel,
+    random_unital_ptm,
+)
 from qmetro.bounds import ExtensionStep, bloch_inequality_check, contractive_bound, extension_bound, rgnks_violated_bound, unital_gauge
 from qmetro.channel_model import (
     ChannelKind,
@@ -16,19 +25,15 @@ from qmetro.channel_model import (
     classify,
     dephasing_channel,
     hnks_check,
-    random_dephasing_family,
-    random_one_param_channel,
     rotated_family,
     solve_h_annihilating,
     x_rotation_dephasing,
-    depolarizing_kraus,
 )
 from qmetro.cli import cmd_figure2
 from qmetro.fisher_info import (
     Povm,
     channel_qfi_ancilla,
     eta_bound,
-    eta_estimate,
     povm_fi,
     qfi_bloch,
     qfi_state,
@@ -50,10 +55,7 @@ from qmetro.qubit_core import (
     BlochState,
     KrausSet,
     PauliTransferMap,
-    bloch_to_density,
     ptm_from_kraus,
-    random_cptp_kraus,
-    random_unital_ptm,
 )
 
 
@@ -178,7 +180,7 @@ def _random_unital_control(rng):
     if kind == 0:
         return PauliTransferMap.identity()
     if kind == 1:
-        from qmetro.qubit_core import random_rotation
+        from oracles import random_rotation
 
         return PauliTransferMap(np.zeros(3), random_rotation(rng), validated=True)
     return random_unital_ptm(rng)

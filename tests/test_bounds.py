@@ -3,6 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import (
+    depolarizing_kraus,
+    random_cptp_kraus,
+    random_dephasing_family,
+    random_one_param_channel,
+    random_rotation,
+    random_unital_ptm,
+)
 from qmetro import bounds
 from qmetro.bounds import (
     BoundReport,
@@ -12,7 +20,6 @@ from qmetro.bounds import (
     _stacked_coordinates,
     bloch_inequality_check,
     contractive_bound,
-    bounded_ancilla_multiplier,
     extension_bound,
     nonunital_gauge,
     rgnks_violated_bound,
@@ -24,9 +31,6 @@ from qmetro.channel_model import (
     NotApplicableError,
     OneParamChannel,
     dephasing_channel,
-    depolarizing_kraus,
-    random_dephasing_family,
-    random_one_param_channel,
     rotated_family,
     x_rotation_dephasing,
 )
@@ -45,9 +49,6 @@ from qmetro.qubit_core import (
     pauli_compose,
     pauli_decompose,
     ptm_from_kraus,
-    random_cptp_kraus,
-    random_rotation,
-    random_unital_ptm,
 )
 
 IDENT = PauliTransferMap.identity()
@@ -703,20 +704,6 @@ class TestBlochInequality:
         for _ in range(10_000):
             ptm = ptm_from_kraus(random_cptp_kraus(rng))
             assert bloch_inequality_check(ptm).holds
-
-
-class TestBoundedAncilla:
-    def test_multiplier(self):
-        assert bounded_ancilla_multiplier(0) == 1.0
-        assert bounded_ancilla_multiplier(3) == 8.0
-        with pytest.raises(DomainError):
-            bounded_ancilla_multiplier(-1)
-
-    def test_overflow_is_domain_error(self):
-        # 2**2000 has no float; the factor must not escape as a bare OverflowError
-        assert bounded_ancilla_multiplier(1023) == 2.0**1023
-        with pytest.raises(DomainError, match="overflow"):
-            bounded_ancilla_multiplier(2000)
 
 
 class TestGaugedPairs:

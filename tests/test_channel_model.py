@@ -3,6 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import (
+    choi_from_kraus,
+    depolarizing_kraus,
+    random_cptp_kraus,
+    random_dephasing_family,
+    random_one_param_channel,
+    random_rotation,
+)
 from qmetro.channel_model import (
     AmbiguousClassificationError,
     ChannelKind,
@@ -12,11 +20,8 @@ from qmetro.channel_model import (
     canonical_pauli_form,
     classify,
     dephasing_channel,
-    depolarizing_kraus,
     _span_lstsq,
     hnks_check,
-    random_dephasing_family,
-    random_one_param_channel,
     rgnks_check,
     rotated_family,
     solve_h_annihilating,
@@ -34,10 +39,7 @@ from qmetro.qubit_core import (
     ValidationError,
     _herm_basis,
     _herm_lstsq,
-    choi_from_kraus,
     ptm_from_kraus,
-    random_cptp_kraus,
-    random_rotation,
 )
 
 

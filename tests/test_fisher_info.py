@@ -9,13 +9,18 @@ from conftest import (
     random_full_rank_state,
     random_traceless_hermitian,
 )
+from oracles import (
+    bloch_to_density,
+    depolarizing_kraus,
+    eta_estimate,
+    random_cptp_kraus,
+    random_dephasing_family,
+    random_one_param_channel,
+)
 from qmetro.channel_model import (
     DephasingFamily,
     OneParamChannel,
     dephasing_channel,
-    depolarizing_kraus,
-    random_dephasing_family,
-    random_one_param_channel,
     rotated_family,
     x_rotation_dephasing,
 )
@@ -30,7 +35,6 @@ from qmetro.fisher_info import (
     channel_qfi_no_ancilla,
     classical_fi,
     eta_bound,
-    eta_estimate,
     povm_fi,
     qfi_bloch,
     qfi_state,
@@ -47,9 +51,7 @@ from qmetro.qubit_core import (
     KrausSet,
     ValidationError,
     apply_kraus,
-    bloch_to_density,
     ptm_from_kraus,
-    random_cptp_kraus,
 )
 
 
@@ -216,7 +218,7 @@ class TestPovmFi:
         assert np.isclose(povm_fi(s, Povm([I2 / 2, I2 / 2])), 0.0, atol=1e-20)
 
     def test_spam_povm_at_half(self, rng):
-        from qmetro.protocols import spam_povm
+        from oracles import spam_povm
 
         s = random_state_family(rng)
         assert np.isclose(povm_fi(s, spam_povm(0.5)), 0.0, atol=1e-20)

@@ -3,7 +3,8 @@
 A Kraus-built transfer map is CPTP by construction and never re-checked; a
 raw map is checked at most once however many consumers see it; a
 one-parameter channel checks trace preservation once, through its
-``KrausSet``; a dephasing family's generator coordinates are derived once.
+``KrausSet``; a dephasing family's generator coordinates are derived once,
+and a transfer map's singular values are taken once.
 Every input rejected before is still rejected, with the same exception type.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from qmetro import qubit_core
-from qmetro.bounds import ExtensionStep, extension_bound
+from qmetro.bounds import ExtensionStep, bloch_inequality_check, extension_bound
 from qmetro.channel_model import (
     DephasingFamily,
     OneParamChannel,
@@ -23,6 +24,7 @@ from qmetro.channel_model import (
     solve_h_annihilating,
     x_rotation_dephasing,
 )
+from qmetro.fisher_info import eta_bound
 from qmetro.protocols import ControlSequence
 from qmetro.qubit_core import (
     I2,
@@ -168,3 +170,22 @@ class TestBuiltOnce:
         for array in (fam.g0, fam.g_plus_coords, fam.g_minus_coords, fam.transfer_matrix):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_singular_values_taken_once_per_map(self, monkeypatch):
+        ptm = raw_cptp_map()
+        want = np.linalg.svd(ptm.T, compute_uv=False)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert np.array_equal(classify(ptm).singular_values, want)
+        assert bloch_inequality_check(ptm).holds
+        assert eta_bound(ptm) == want.max()
+        assert len(calls) == 1
+        assert ptm.singular_values is classify(ptm).singular_values
+        with pytest.raises(ValueError):
+            ptm.singular_values[0] = 0.0

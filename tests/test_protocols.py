@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import bloch_state_matrix, dephasing_apply
+from oracles import (
+    bloch_to_density,
+    random_cptp_kraus,
+    random_dephasing_family,
+    random_unital_ptm,
+    spam_povm,
+)
 from qmetro.bounds import ExtensionStep, extension_bound, rgnks_violated_bound, unital_gauge
 from qmetro.channel_model import (
     DephasingFamily,
     NotApplicableError,
-    random_dephasing_family,
     x_rotation_dephasing,
 )
 from qmetro.fisher_info import povm_fi, qfi_bloch, qfi_state
@@ -26,7 +32,6 @@ from qmetro.protocols import (
     simulate_sequence,
     spam_fi,
     spam_fi_rows,
-    spam_povm,
     sql_asymptotic,
     sql_control_ptm,
     sql_protocol,
@@ -46,10 +51,7 @@ from qmetro.qubit_core import (
     DensityState,
     DomainError,
     PauliTransferMap,
-    bloch_to_density,
     ptm_from_kraus,
-    random_cptp_kraus,
-    random_unital_ptm,
 )
 
 ZERO = np.zeros((2, 2))
@@ -442,7 +444,8 @@ class TestBlochKernel:
 
     def test_channel_kernel_matches_analytic(self):
         # X-rotation composed with depolarizing: T = lam I, dT = [2 e_x]_x lam I
-        from qmetro.channel_model import depolarizing_kraus, rotated_family
+        from oracles import depolarizing_kraus
+        from qmetro.channel_model import rotated_family
 
         lam = 0.5
         k = _lifted_kernel(rotated_family(depolarizing_kraus(lam), X))

@@ -3,6 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    bloch_to_density,
+    choi_from_kraus,
+    density_to_bloch,
+    kraus_from_choi,
+    kraus_from_ptm,
+    random_cptp_kraus,
+    random_unitary,
+)
 from qmetro.qubit_core import (
     I2,
     X,
@@ -14,20 +23,13 @@ from qmetro.qubit_core import (
     ValidationError,
     _down_sweep,
     _up_sweep,
-    bloch_to_density,
-    choi_from_kraus,
     choi_from_ptm,
-    density_to_bloch,
-    kraus_from_choi,
-    kraus_from_ptm,
     apply_kraus,
     pauli_compose,
     pauli_decompose,
     pauli_sandwich,
     ptm_derivative_from_kraus,
     ptm_from_kraus,
-    random_cptp_kraus,
-    random_unitary,
     require_cptp,
     require_hermitian,
     validate_cptp,
@@ -273,7 +275,7 @@ class TestChoi:
         assert np.allclose(eig[:2], 0, atol=1e-12)
 
     def test_full_depolarizing(self):
-        from qmetro.channel_model import depolarizing_kraus
+        from oracles import depolarizing_kraus
 
         eig = np.linalg.eigvalsh(choi_from_kraus(depolarizing_kraus(0.0)))
         assert np.allclose(eig, 0.5, atol=1e-12)
