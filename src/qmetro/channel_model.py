@@ -100,6 +100,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _lift(t, T, dt, dT) -> np.ndarray:
+    """``[[T, 0, t], [dT, T, dt], [0, 0, 1]]``: the 7x7 map of Bloch data on ``(v, dv, 1)``; an
+    (N, 3, 3) ``T`` gives N maps, each other argument shared by all or given per map."""
+    T = np.asarray(T)
+    s = np.zeros(T.shape[:-2] + (7, 7))
+    s[..., :3, :3] = s[..., 3:6, 3:6] = T
+    s[..., 3:6, :3] = dT
+    s[..., :3, 6] = t
+    s[..., 3:6, 6] = dt
+    s[..., 6, 6] = 1.0
+    return s
+
+
 def _k_dag_dk(k_ops: np.ndarray, dk_ops: np.ndarray) -> np.ndarray:
     """``sum_i K_i^dag dK_i`` over the stacked pairs."""
     return (np.swapaxes(k_ops.conj(), 1, 2) @ dk_ops).sum(0)
@@ -207,11 +220,9 @@ class DephasingFamily:
         from ``pdot`` and the Pauli coordinates of ``G±``."""
         _, tx, ty, tz = self.g_minus_coords
         _, px, py, _ = self.g_plus_coords
-        k = np.zeros((7, 7))
-        k[:3, :3] = k[3:6, 3:6] = np.diag([1.0 - 2.0 * self.p, 1.0 - 2.0 * self.p, 1.0])
-        k[3:6, :3] = [[-2.0 * self.pdot, -tz, ty], [tz, -2.0 * self.pdot, -tx], [-py, px, 0.0]]
-        k[6, 6] = 1.0
-        return _read_only(k)
+        T = np.diag([1.0 - 2.0 * self.p, 1.0 - 2.0 * self.p, 1.0])
+        dT = [[-2.0 * self.pdot, -tz, ty], [tz, -2.0 * self.pdot, -tx], [-py, px, 0.0]]
+        return _read_only(_lift(0.0, T, 0.0, dT))
 
     @cached_property
     def _channel(self) -> OneParamChannel:

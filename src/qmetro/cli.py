@@ -234,6 +234,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{name}: {exc}") from exc
     if fields:
         raise ConfigError(f"unknown fields: {sorted(fields)}")
+    if values["family"] is not None and values["ptm"] is not None:
+        raise ConfigError("a config gives one channel: a family.* block or a ptm.* block, not both")
     return ExperimentConfig(**values)
 
 

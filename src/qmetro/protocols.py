@@ -9,9 +9,9 @@ dephasing family the one-step update under a control ``(t_k, T_k)`` is
 
 with ``M = diag(1-2p, 1-2p, 1)`` and the drive matrix ``D`` assembled from
 ``Tr(G± {X,Y,Z})`` and ``pdot``.  The update is affine in
-``z = (v, dv, 1) ∈ R⁷``: a channel with Bloch data ``(t, T; dt, dT)`` lifts
-to the 7x7 matrix ``[[T, 0, t], [dT, T, dt], [0, 0, 1]]`` and a control to
-``[[T_k, 0, t_k], [0, T_k, 0], [0, 0, 1]]``.  A constant control therefore
+``z = (v, dv, 1) ∈ R⁷``: ``channel_model._lift`` lifts Bloch data ``(t, T; dt, dT)``
+to the 7x7 matrix ``[[T, 0, t], [dT, T, dt], [0, 0, 1]]``, a channel with its
+derivative and a control ``(t_k, T_k)`` with none.  A constant control therefore
 runs ``n`` steps as ``(C K)^n z_0``, which :func:`_advance` applies in
 O(log n) products by binary powering on the offset ``C K - I``, so that it
 rounds no worse than the step-by-step loop.  Per-step controls (and
@@ -48,6 +48,8 @@ from .channel_model import (
     DephasingFamily,
     NotApplicableError,
     OneParamChannel,
+    _lift,
+    _read_only,
 )
 from .fisher_info import _bloch_qfi, qfi_bloch, qfi_state
 from .qubit_core import (
@@ -122,9 +124,7 @@ class ControlSequence:
     @cached_property
     def _offsets(self) -> np.ndarray:
         """The lifted offsets ``C_k - I`` of the maps, stacked on first use only, read-only."""
-        offsets = _control_offsets([m.t for m in self.maps], [m.T for m in self.maps])
-        offsets.flags.writeable = False
-        return offsets
+        return _read_only(_lift([m.t for m in self.maps], [m.T for m in self.maps], 0.0, 0.0) - _EYE7)
 
     @staticmethod
     def identity() -> "ControlSequence":
@@ -150,17 +150,6 @@ class ProtocolResult:
             raise DomainError(f"qfi_or_fi is not finite ({self.qfi_or_fi}): the inputs overflow")
         if self.qfi_or_fi < -1e-12:
             raise ValidationError("qfi_or_fi must be nonnegative")
-
-
-def _lift(t, T, dt, dT) -> np.ndarray:
-    """``[[T, 0, t], [dT, T, dt], [0, 0, 1]]``: the 7x7 map of Bloch data on ``(v, dv, 1)``."""
-    s = np.zeros((7, 7))
-    s[:3, :3] = s[3:6, 3:6] = T
-    s[3:6, :3] = dT
-    s[:3, 6] = t
-    s[3:6, 6] = dt
-    s[6, 6] = 1.0
-    return s
 
 
 def _advance(e: np.ndarray, n, z: np.ndarray) -> np.ndarray:
@@ -238,16 +227,6 @@ def _lifted_kernel(fam) -> np.ndarray:
     raise ValidationError(f"unsupported channel description: {type(fam).__name__}")
 
 
-def _control_offsets(shifts, rotations) -> np.ndarray:
-    """Offsets ``C_k - I = [[T_k - I, 0, t_k], [0, T_k - I, 0], [0, 0, 0]]`` of the lifted
-    controls ``(t_k, T_k)``, stacked; a control has no derivative part."""
-    rotations = np.reshape(rotations, (-1, 3, 3)) - np.eye(3)
-    c = np.zeros((len(rotations), 7, 7))
-    c[:, :3, :3] = c[:, 3:6, 3:6] = rotations
-    c[:, :3, 6] = np.reshape(shifts, (-1, 3))
-    return c
-
-
 def _kernel_steps(fam, c: np.ndarray) -> np.ndarray:
     """Offsets ``C_k K - I`` of the lifted steps from the stacked control offsets ``c = C_k - I``.
 
@@ -258,8 +237,9 @@ def _kernel_steps(fam, c: np.ndarray) -> np.ndarray:
 
 
 def _step_offsets(fam, shifts, rotations) -> np.ndarray:
-    """Offsets ``C K - I`` of the lifted steps, one per control ``(t_k, T_k)``."""
-    return _kernel_steps(fam, _control_offsets(shifts, rotations))
+    """Offsets ``C K - I`` of the lifted steps: one (7, 7) for one control ``(t, T)``, or one
+    per control for stacked rotations (N, 3, 3); a control has no derivative part."""
+    return _kernel_steps(fam, _lift(shifts, rotations, 0.0, 0.0) - _EYE7)
 
 
 def _start(v0: BlochState) -> np.ndarray:
@@ -325,8 +305,7 @@ def _constant_rows(fam, ns, v0: BlochState, shifts, rotations) -> list:
     """:func:`simulate_sequence`'s results at each n of ``ns`` under a constant control:
     one ``(t, T)`` for all rows, or one per row (``rotations`` of shape (N, 3, 3))."""
     _require_steps(ns.min())
-    steps = _step_offsets(fam, shifts, rotations)
-    z = _advance(steps[0] if len(steps) == 1 else steps, ns, _start(v0))
+    z = _advance(_step_offsets(fam, shifts, rotations), ns, _start(v0))
     return [_bloch_result(n, row) for n, row in zip(ns, z)]
 
 

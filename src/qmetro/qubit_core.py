@@ -205,9 +205,9 @@ class DensityState:
 class PauliTransferMap:
     """Affine Bloch-vector action (t, T) of a qubit channel.
 
-    ``validated=True`` means CPTP by construction (Kraus-built, a rotation, or
-    a composition of these), so consumers skip the CPTP check; any other map
-    goes through :func:`require_cptp`.  ``t`` and ``T`` are read-only copies.
+    ``validated=True`` means CPTP by construction (Kraus-built or a rotation),
+    so consumers skip the CPTP check; any other map goes through
+    :func:`require_cptp`.  ``t`` and ``T`` are read-only copies.
     """
 
     t: np.ndarray
@@ -228,9 +228,6 @@ class PauliTransferMap:
         """The Choi check of this map, run on first use only."""
         return validate_cptp(choi_from_ptm(self))
 
-    def apply_bloch(self, v: np.ndarray) -> np.ndarray:
-        return self.t + self.T @ np.asarray(v, dtype=float)
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """The real 4x4 map ``[[1, 0], [t, T]]`` on Pauli coordinates, built once, read-only."""
@@ -245,18 +242,6 @@ class PauliTransferMap:
         s = np.linalg.svd(self.T, compute_uv=False)
         s.flags.writeable = False
         return s
-
-    def apply_hermitian(self, op: np.ndarray) -> np.ndarray:
-        """Channel action on a Hermitian 2x2 operator (trace is preserved)."""
-        return pauli_compose(self.matrix @ pauli_decompose(op))
-
-    def compose(self, first: "PauliTransferMap") -> "PauliTransferMap":
-        """Map of ``self`` applied after ``first``."""
-        return PauliTransferMap(
-            self.t + self.T @ first.t,
-            self.T @ first.T,
-            validated=self.validated and first.validated,
-        )
 
     @staticmethod
     def identity() -> "PauliTransferMap":

@@ -184,7 +184,7 @@ def eta_estimate(ptm: PauliTransferMap, trials: int, seed: int = 0) -> float:
         denom = qfi_bloch((v, dv))
         if denom < 1e-12:
             continue
-        num = qfi_bloch((ptm.apply_bloch(v), ptm.T @ dv))
+        num = qfi_bloch((ptm.t + ptm.T @ v, ptm.T @ dv))
         best = max(best, num / denom)
     return best
 

@@ -238,6 +238,19 @@ class TestExitCodes:
         assert main(["--config", str(cfg_path), "sweep"]) == 4
         assert capsys.readouterr().err.startswith("error:domain:")
 
+    @pytest.mark.parametrize("command", ["classify", "qfi"])
+    def test_two_channels_are_2(self, tmp_path, capsys, command):
+        # a family.* block and a ptm.* block would answer from two different channels
+        identity = "ptm.row0 = 1 0 0\nptm.row1 = 0 1 0\nptm.row2 = 0 0 1\n"
+        cfg_path = tmp_path / "both.conf"
+        cfg_path.write_text(EQ2 + identity)
+        assert main(["--config", str(cfg_path), command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:config:") and "not both" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ConfigError, match="one channel"):
+            parse_config(identity + "family.p = 0.1\n")
+
     def test_non_finite_generator_is_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "nan.conf"
         cfg_path.write_text("family.p = 0.1\nfamily.g0 = inf 0 0\nfamily.g1 = nan 0 0\n")

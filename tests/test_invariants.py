@@ -102,11 +102,6 @@ class TestCptpCheckedOnce:
         assert solve_h_annihilating(ks, X).residual <= 1e-10
         assert calls == []
 
-    def test_composition_of_validated_maps_is_validated(self):
-        ptm = ptm_from_kraus(damping_set(0.3))
-        assert ptm.compose(PauliTransferMap.identity()).validated
-        assert not ptm.compose(raw_cptp_map()).validated
-
     def test_map_owns_read_only_copies(self):
         t, T = np.zeros(3), np.eye(3)
         m = PauliTransferMap(t, T)

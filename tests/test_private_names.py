@@ -2,7 +2,8 @@
 
 A top-level private name is read by some ``qmetro`` module.  A public name, one in a module's
 ``__all__``, is read by a ``qmetro`` module, a ``perfbench`` script or the README's code, or is on
-:data:`ALLOWED` with its reason; test-only helpers live in ``tests/oracles.py``.
+:data:`ALLOWED` with its reason; test-only helpers live in ``tests/oracles.py``.  So is a public
+method or property of a ``qmetro`` class (dataclass fields are data, not methods).
 """
 
 import ast
@@ -79,13 +80,19 @@ def exported(tree: ast.Module) -> list:
     return []
 
 
-def test_every_public_name_has_a_reader():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+def outside_readers() -> set:
+    """The names the ``perfbench`` scripts and the README's code read."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     # the README reads the identifiers in its code blocks and code spans, not the words of its prose
     outside = set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))))
     for script in (ROOT / "perfbench").glob("*.py"):
         outside |= reads(ast.parse(script.read_text(encoding="utf-8")))
+    return outside
+
+
+def test_every_public_name_has_a_reader():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    outside = outside_readers()
     public = {name: module for module, tree in trees.items() for name in exported(tree)}
     # a definition nothing reads is no reader of the names it uses: drop it until none is left
     unread = set()
@@ -101,3 +108,17 @@ def test_every_public_name_has_a_reader():
     assert not unread, f"public names with no reader: {sorted(f'{public[n]} {n}' for n in unread)}"
     stale = sorted(name for name in ALLOWED if name not in public or name in read)
     assert not stale, f"allow-listed names that are not exported or that have a reader: {stale}"
+
+
+def test_every_public_method_has_a_reader():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = outside_readers().union(*(reads(tree) for tree in trees.values()))
+    unread = [
+        f"{module}:{node.lineno} {cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read
+    ]
+    assert not unread, f"public methods with no reader: {unread}"

@@ -15,6 +15,7 @@ from qmetro.bounds import ExtensionStep, extension_bound, rgnks_violated_bound, 
 from qmetro.channel_model import (
     DephasingFamily,
     NotApplicableError,
+    _lift,
     x_rotation_dephasing,
 )
 from qmetro.fisher_info import povm_fi, qfi_bloch, qfi_state
@@ -51,6 +52,8 @@ from qmetro.qubit_core import (
     DensityState,
     DomainError,
     PauliTransferMap,
+    pauli_compose,
+    pauli_decompose,
     ptm_from_kraus,
 )
 
@@ -152,7 +155,7 @@ class TestSimulateSequence:
                 rho = bloch_state_matrix(v0)
                 for ptm in affine:
                     rho = dephasing_apply(fam, theta, rho)
-                    rho = ptm.apply_hermitian(rho)
+                    rho = pauli_compose(ptm.matrix @ pauli_decompose(rho))
                 return rho
 
             def bloch_of(rho):
@@ -335,7 +338,7 @@ class TestAdvance:
 
     def test_shared_offset_matches_one_row_calls_bitwise(self):
         control = sql_control_ptm("g1y", 0.03)
-        e = _step_offsets(TestTransferMatrix.FAM, control.t, control.T)[0]
+        e = _step_offsets(TestTransferMatrix.FAM, control.t, control.T)
         self.check_rows(e, np.array([0.0, 0.0, 0.8, 0.0, 0.0, 0.0, 1.0]))
 
     def test_shared_complex_offset_matches_one_row_calls_bitwise(self):
@@ -483,6 +486,55 @@ class TestBlochKernel:
 
         with pytest.raises(ValidationError, match="unsupported channel description"):
             _lifted_kernel(PauliTransferMap.identity())
+
+
+def control_offsets(shifts, rotations):
+    """Oracle: the offsets ``C_k - I = [[T_k - I, 0, t_k], [0, T_k - I, 0], [0, 0, 0]]`` of the
+    lifted controls, written out block by block."""
+    rotations = np.reshape(rotations, (-1, 3, 3)) - np.eye(3)
+    c = np.zeros((len(rotations), 7, 7))
+    c[:, :3, :3] = c[:, 3:6, 3:6] = rotations
+    c[:, :3, 6] = np.reshape(shifts, (-1, 3))
+    return c
+
+
+def family_kernel(fam):
+    """Oracle: a family's 7x7 kernel written out entry by entry."""
+    _, tx, ty, tz = pauli_decompose(fam.g_minus)
+    _, px, py, _ = pauli_decompose(fam.g_plus)
+    k = np.zeros((7, 7))
+    k[:3, :3] = k[3:6, 3:6] = np.diag([1.0 - 2.0 * fam.p, 1.0 - 2.0 * fam.p, 1.0])
+    k[3:6, :3] = [[-2.0 * fam.pdot, -tz, ty], [tz, -2.0 * fam.pdot, -tx], [-py, px, 0.0]]
+    k[6, 6] = 1.0
+    return k
+
+
+class TestLift:
+    """:func:`_lift` writes every 7x7 map on ``(v, dv, 1)``, one or stacked."""
+
+    def test_control_offsets_match_the_oracle_bitwise(self, rng):
+        maps = random_controls(rng, 40)
+        t, T = np.array([m.t for m in maps]), np.array([m.T for m in maps])
+        assert np.array_equal(_lift(t, T, 0.0, 0.0) - np.eye(7), control_offsets(t, T))
+        assert np.array_equal(ControlSequence(maps, constant=False)._offsets, control_offsets(t, T))
+
+    def test_family_kernel_matches_the_oracle_bitwise(self, rng):
+        for fam in [TestTransferMatrix.FAM] + [random_dephasing_family(rng) for _ in range(20)]:
+            assert np.array_equal(fam.transfer_matrix, family_kernel(fam))
+
+    def test_stacked_lift_matches_its_one_row_calls(self, rng):
+        t, dt = rng.normal(size=(2, 25, 3))
+        T, dT = rng.normal(size=(2, 25, 3, 3))
+        stacked = _lift(t, T, dt, dT)
+        shared = _lift(t[0], T, 0.0, dT[0])  # a shared shift and derivative
+        assert stacked.shape == shared.shape == (25, 7, 7)
+        for k in range(25):
+            assert np.array_equal(stacked[k], _lift(t[k], T[k], dt[k], dT[k]))
+            assert np.array_equal(shared[k], _lift(t[0], T[k], 0.0, dT[0]))
+        for got, want in zip(kernel_blocks(stacked[3]), (t[3], T[3], dt[3], dT[3])):
+            assert np.array_equal(got, want)
+        assert not stacked[:, :3, 3:6].any()
+        assert (stacked[:, 6] == np.eye(7)[6]).all()
 
 
 class TestSqlProtocol:
