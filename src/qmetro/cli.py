@@ -311,16 +311,12 @@ def _bound_csv(report: bounds.BoundReport) -> str:
 
     The cross term of step ``n`` does not exist and is written as 0.
     """
-    rows = ["k,alpha_term,cross_term,gamma_norm,running_total\n"]
-    running = 0.0
-    for k in range(report.n):
-        cross = report.cross_terms[k] if k < len(report.cross_terms) else 0.0
-        running += report.alpha_terms[k] + cross
-        rows.append(
-            "%d,%.17g,%.17g,%.17g,%.17g\n"
-            % (k + 1, report.alpha_terms[k], cross, report.gamma_norms[k], running)
-        )
-    return "".join(rows)
+    cross = np.zeros(report.n)
+    cross[: len(report.cross_terms)] = report.cross_terms
+    running = np.cumsum(np.concatenate([[0.0], report.alpha_terms + cross]))[1:]  # left to right, from 0.0
+    fmt = "%d,%.17g,%.17g,%.17g,%.17g\n"
+    rows = zip(range(1, report.n + 1), report.alpha_terms, cross.tolist(), report.gamma_norms, running.tolist())
+    return "k,alpha_term,cross_term,gamma_norm,running_total\n" + "".join(map(fmt.__mod__, rows))
 
 
 def cmd_bound(cfg: ExperimentConfig, out=None) -> int:

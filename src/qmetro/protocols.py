@@ -17,9 +17,12 @@ O(log n) products by binary powering on the offset ``C K - I``, so that it
 rounds no worse than the step-by-step loop.  Per-step controls (and
 trajectory recording) form all step offsets ``C_k K - I`` in one batched
 expression and compose them pairwise in offset form, in log2 n batched
-products; a trajectory reads every prefix product off the same tree, so its last
-point is the plain run's terminal.  These up- and down-sweeps live in ``qubit_core``
-(``_up_sweep``, ``_down_sweep``), and :mod:`qmetro.bounds` runs its recursion on them.
+products; a :class:`ControlSequence` keeps its last product, keyed by the
+channel's lifted kernel and ``n``, so many start states through one sequence
+share one composition.  A trajectory reads every prefix product off the same
+tree, so its last point is the plain run's terminal.  These up- and down-sweeps
+live in ``qubit_core`` (``_up_sweep``, ``_down_sweep``), and :mod:`qmetro.bounds`
+runs its recursion on them.
 
 The QEC protocol propagates the full two-qubit density matrix and its
 derivative through the repetition-code recovery channel.  One step is the
@@ -39,6 +42,7 @@ one body: :func:`qec_repetition_sim` is its one-row call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
@@ -282,10 +286,25 @@ def simulate_sequence(
     Returns the QFI of the terminal state.  A constant control without
     trajectory recording costs one 7x7 binary power; otherwise the ``n`` lifted
     steps are composed pairwise in log2 n batched products, and the product is
-    applied to the start once.  Both paths of a per-step run share that
-    product, so recording a trajectory leaves the terminal unchanged.
+    applied to the start once.  Without a trajectory, ``controls`` keeps that
+    product for the next call of the same channel kernel and ``n``, so a
+    sequence is composed once per channel and length and reused, bit for bit,
+    for every start.  Both paths of a per-step run compose the same product,
+    so recording a trajectory leaves the terminal unchanged.  :class:`ValidationError`
+    when ``n`` is not an integer.
     """
+    try:
+        n = operator.index(n)
+    except TypeError as exc:
+        raise ValidationError(f"n must be an integer, got {n!r}") from exc
     _require_steps(n)
+    if n and not (controls.constant or record_trajectory):
+        key = (_lifted_kernel(fam).tobytes(), n)  # the product's one-entry memo, in the instance dict
+        controls.require_length(n)
+        if controls.__dict__.get("_product", (None,))[0] != key:
+            controls.__dict__["_product"] = key, _up_sweep(_kernel_steps(fam, controls._offsets[:n]))[-1][0]
+        z = _start(v0)
+        return _bloch_result(n, z + controls._product[1] @ z)
     steps = _kernel_steps(fam, controls._offsets[: 1 if controls.constant else n])
     controls.require_length(n)
     z = _start(v0)

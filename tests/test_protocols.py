@@ -8,6 +8,7 @@ from oracles import (
     bloch_to_density,
     random_cptp_kraus,
     random_dephasing_family,
+    random_one_param_channel,
     random_unital_ptm,
     spam_povm,
 )
@@ -52,6 +53,7 @@ from qmetro.qubit_core import (
     DensityState,
     DomainError,
     PauliTransferMap,
+    ValidationError,
     pauli_compose,
     pauli_decompose,
     ptm_from_kraus,
@@ -317,6 +319,101 @@ class TestComposedSteps:
             seq._offsets[0, 0, 0] = 1.0
         e = _step_offsets(TestTransferMatrix.FAM, [m.t for m in maps], [m.T for m in maps])
         assert np.array_equal(e, _kernel_steps(TestTransferMatrix.FAM, seq._offsets))
+
+
+def random_starts(rng, count):
+    """``count`` random starts inside the Bloch ball, with no derivative."""
+    directions = rng.normal(size=(count, 3))
+    radii = rng.uniform(0.0, 1.0, size=count)
+    return [BlochState(r * d / np.linalg.norm(d), np.zeros(3)) for r, d in zip(radii, directions)]
+
+
+def assert_same_result(a, b):
+    """Two results with bitwise equal QFIs and terminals."""
+    assert a.qfi_or_fi == b.qfi_or_fi
+    assert np.array_equal(a.terminal.v, b.terminal.v)
+    assert np.array_equal(a.terminal.dv, b.terminal.dv)
+
+
+class TestComposedProductMemo:
+    """A per-step sequence keeps its last product, keyed by the channel kernel and n; the same
+    maps in a fresh :class:`ControlSequence`, composed anew, are the oracle."""
+
+    def test_many_starts_match_fresh_sequences_bitwise(self, rng):
+        fam = random_dephasing_family(rng)
+        maps = random_controls(rng, 37)
+        seq = ControlSequence(maps, constant=False)
+        for v0 in random_starts(rng, 25):
+            fresh = simulate_sequence(fam, ControlSequence(maps, constant=False), v0, 37)
+            assert_same_result(simulate_sequence(fam, seq, v0, 37), fresh)
+
+    def test_alternating_families_and_lengths_get_their_own_products(self, rng):
+        fams = [random_dephasing_family(rng), random_dephasing_family(rng)]
+        maps = random_controls(rng, 30)
+        seq = ControlSequence(maps, constant=False)
+        starts = random_starts(rng, 3)
+        calls = [(fams[0], 30), (fams[1], 30), (fams[0], 30), (fams[0], 11), (fams[0], 30), (fams[1], 1)]
+        for fam, n in calls:
+            for v0 in starts:
+                fresh = simulate_sequence(fam, ControlSequence(maps, constant=False), v0, n)
+                assert_same_result(simulate_sequence(fam, seq, v0, n), fresh)
+                assert_close_to_loop(fresh.terminal, *step_loop(fam, seq, v0, n))
+
+    def test_equal_families_built_apart_share_the_product(self, rng):
+        fam = random_dephasing_family(rng)
+        twin = DephasingFamily(fam.p, fam.pdot, fam.g0, fam.g1)
+        maps = random_controls(rng, 9)
+        seq = ControlSequence(maps, constant=False)
+        v0 = near_pure_start(rng, 1e-6)
+        first = simulate_sequence(fam, seq, v0, 9)
+        assert_same_result(simulate_sequence(twin, seq, v0, 9), first)
+        assert_same_result(simulate_sequence(twin, ControlSequence(maps, constant=False), v0, 9), first)
+
+    def test_one_param_channel(self, rng):
+        ch = random_one_param_channel(rng)
+        maps = random_controls(rng, 12)
+        seq = ControlSequence(maps, constant=False)
+        for v0 in random_starts(rng, 5):
+            fresh = simulate_sequence(ch, ControlSequence(maps, constant=False), v0, 12)
+            assert_same_result(simulate_sequence(ch, seq, v0, 12), fresh)
+        shorter = simulate_sequence(ch, ControlSequence(maps[:7], constant=False), v0, 7)
+        assert_same_result(simulate_sequence(ch, seq, v0, 7), shorter)
+
+    def test_one_composition_for_many_starts(self, rng, monkeypatch):
+        import qmetro.protocols as protocols
+
+        calls = []
+        sweep = protocols._up_sweep
+        monkeypatch.setattr(protocols, "_up_sweep", lambda e: calls.append(len(e)) or sweep(e))
+        fam = random_dephasing_family(rng)
+        seq = ControlSequence(random_controls(rng, 20), constant=False)
+        for v0 in random_starts(rng, 25):
+            simulate_sequence(fam, seq, v0, 20)
+        assert calls == [20]
+        simulate_sequence(fam, seq, POLE, 19)
+        simulate_sequence(random_dephasing_family(rng), seq, POLE, 19)
+        assert calls == [20, 19, 19]
+
+    def test_trajectory_after_a_memo_hit_keeps_the_terminal(self, rng):
+        fam = random_dephasing_family(rng)
+        seq = ControlSequence(random_controls(rng, 50), constant=False)
+        starts = random_starts(rng, 3)
+        plain = [simulate_sequence(fam, seq, v0, 50) for v0 in starts]
+        for v0, result in zip(starts, plain):
+            traced = simulate_sequence(fam, seq, v0, 50, record_trajectory=True)
+            assert_same_result(traced, result)
+            assert np.array_equal(traced.trajectory[-1].v, result.terminal.v)
+
+    def test_checks_run_on_a_memo_hit(self, rng):
+        fam = random_dephasing_family(rng)
+        seq = ControlSequence(random_controls(rng, 4), constant=False)
+        simulate_sequence(fam, seq, POLE, 4)
+        with pytest.raises(DomainError, match="nonnegative"):
+            simulate_sequence(fam, seq, POLE, -4)
+        with pytest.raises(ValidationError, match="need 5 controls"):
+            simulate_sequence(fam, seq, POLE, 5)
+        with pytest.raises(ValidationError, match="unsupported channel description"):
+            simulate_sequence(PauliTransferMap.identity(), seq, POLE, 4)
 
 
 class TestAdvance:
@@ -792,3 +889,26 @@ class TestStepCountOverflow:
             call(fam, 10**400)
         value = call(fam, 10**6)
         assert np.isfinite(getattr(value, "qfi_or_fi", value)).all()
+
+
+class TestStepCountType:
+    """A step count that is not an integer is a :class:`ValidationError` naming ``n``."""
+
+    PER_STEP = ControlSequence([PauliTransferMap.identity()] * 3, constant=False)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam, n: simulate_sequence(fam, TestStepCountType.PER_STEP, POLE, n),
+            lambda fam, n: simulate_sequence(fam, ControlSequence.identity(), POLE, n),
+            lambda fam, n: simulate_sequence(fam, ControlSequence.identity(), POLE, n, record_trajectory=True),
+            lambda fam, n: sql_protocol(fam, n, 0.01),
+        ],
+        ids=["per_step", "constant", "trajectory", "sql"],
+    )
+    def test_float_step_count_is_validation_error(self, call):
+        fam = x_rotation_dephasing(0.1)
+        for bad in (3.0, 2.5):
+            with pytest.raises(ValidationError, match="n must be an integer"):
+                call(fam, bad)
+        assert_same_result(call(fam, np.int64(3)), call(fam, 3))
