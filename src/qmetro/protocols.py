@@ -24,19 +24,17 @@ tree, so its last point is the plain run's terminal.  These up- and down-sweeps
 live in ``qubit_core`` (``_up_sweep``, ``_down_sweep``), and :mod:`qmetro.bounds`
 runs its recursion on them.
 
-The QEC protocol propagates the full two-qubit density matrix and its
-derivative through the repetition-code recovery channel.  One step is the
-linear map ``(rho, drho) -> (R D rho, R A D rho + R D drho)`` on row-major
-vectorized 4x4 matrices (``D`` dephasing, ``A`` the generator commutator,
-``R`` the recovery), a 32x32 superoperator, linear in ``p``, that
-:func:`_advance` likewise raises to the power ``n``.
+The QEC protocol runs on the logical qubit of the repetition code.  The
+recovery returns every state to the code space ``span{|+0>, |-1>}`` and the
+input is its ``|+_L>``, so one step is exactly the lifted map with ``T = I``
+and ``dT = 2 (1-2p) G_z`` (``G_z`` the generator of a z rotation), one more
+7x7 step that :func:`_advance` raises to the power ``n``.
 
 Each per-n protocol has a rows form (``*_rows``) that takes a sequence of
 step counts ``ns`` and returns one value per entry.  It runs its argument
 checks in the one helper it shares with its per-n sibling, builds the steps
 as that sibling does, and advances all rows of a block of ``ROWS_PER_BLOCK``
-together, so each value is bitwise the per-n call's.  The QEC protocol has
-one body: :func:`qec_repetition_sim` is its one-row call.
+together, so each value is bitwise the per-n call's.
 """
 
 from __future__ import annotations
@@ -55,14 +53,11 @@ from .channel_model import (
     _lift,
     _read_only,
 )
-from .fisher_info import _bloch_qfi, qfi_bloch, qfi_state
+from .fisher_info import _bloch_qfi, qfi_bloch
 from .qubit_core import (
-    I2,
     X,
     Y,
-    Z,
     BlochState,
-    DensityState,
     DomainError,
     PauliTransferMap,
     ValidationError,
@@ -231,19 +226,20 @@ def _lifted_kernel(fam) -> np.ndarray:
     raise ValidationError(f"unsupported channel description: {type(fam).__name__}")
 
 
-def _kernel_steps(fam, c: np.ndarray) -> np.ndarray:
-    """Offsets ``C_k K - I`` of the lifted steps from the stacked control offsets ``c = C_k - I``.
+def _kernel_steps(kernel: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Offsets ``C_k K - I`` of the lifted steps from the channel's lifted ``kernel`` ``K`` and
+    the stacked control offsets ``c = C_k - I``.
 
     Formed from the exact offsets of ``C`` and ``K``: ``(I + c)(I + k) - I = c + k + c k``.
     """
-    k = _lifted_kernel(fam) - _EYE7
+    k = kernel - _EYE7
     return c + k + c @ k
 
 
 def _step_offsets(fam, shifts, rotations) -> np.ndarray:
     """Offsets ``C K - I`` of the lifted steps: one (7, 7) for one control ``(t, T)``, or one
     per control for stacked rotations (N, 3, 3); a control has no derivative part."""
-    return _kernel_steps(fam, _lift(shifts, rotations, 0.0, 0.0) - _EYE7)
+    return _kernel_steps(_lifted_kernel(fam), _lift(shifts, rotations, 0.0, 0.0) - _EYE7)
 
 
 def _start(v0: BlochState) -> np.ndarray:
@@ -261,9 +257,16 @@ def _bloch_result(n, z: np.ndarray, trajectory=None) -> ProtocolResult:
     return ProtocolResult(n=n, qfi_or_fi=qfi_bloch((v, dv)), terminal=BlochState(v, dv), trajectory=trajectory)
 
 
-def _require_steps(n_min) -> None:
+def _require_steps(n_min) -> int:
+    """A step count (or a run's smallest) as an int: :class:`ValidationError` when it is not an
+    integer, :class:`DomainError` when it is negative."""
+    try:
+        n_min = operator.index(n_min)
+    except TypeError as exc:
+        raise ValidationError(f"n must be an integer, got {n_min!r}") from exc
     if n_min < 0:
         raise DomainError("n must be nonnegative")
+    return n_min
 
 
 def _float_steps(n) -> float:
@@ -293,19 +296,16 @@ def simulate_sequence(
     so recording a trajectory leaves the terminal unchanged.  :class:`ValidationError`
     when ``n`` is not an integer.
     """
-    try:
-        n = operator.index(n)
-    except TypeError as exc:
-        raise ValidationError(f"n must be an integer, got {n!r}") from exc
-    _require_steps(n)
+    n = _require_steps(n)
+    kernel = _lifted_kernel(fam)
     if n and not (controls.constant or record_trajectory):
-        key = (_lifted_kernel(fam).tobytes(), n)  # the product's one-entry memo, in the instance dict
+        key = (kernel.tobytes(), n)  # the product's one-entry memo, in the instance dict
         controls.require_length(n)
         if controls.__dict__.get("_product", (None,))[0] != key:
-            controls.__dict__["_product"] = key, _up_sweep(_kernel_steps(fam, controls._offsets[:n]))[-1][0]
+            controls.__dict__["_product"] = key, _up_sweep(_kernel_steps(kernel, controls._offsets[:n]))[-1][0]
         z = _start(v0)
         return _bloch_result(n, z + controls._product[1] @ z)
-    steps = _kernel_steps(fam, controls._offsets[: 1 if controls.constant else n])
+    steps = _kernel_steps(kernel, controls._offsets[: 1 if controls.constant else n])
     controls.require_length(n)
     z = _start(v0)
     if controls.constant and not record_trajectory:
@@ -344,7 +344,7 @@ def no_control_rows(fam, ns, z0: float = 1.0):
 def _sql_trace(fam: DephasingFamily, variant: str, w: float, z0: float, n_min: int = 1) -> float:
     """The driving trace ``Tr(G A)`` of an SQL variant, once its arguments pass their checks;
     ``n_min`` is the smallest step count of the run."""
-    if n_min < 1:
+    if _require_steps(n_min) < 1:
         raise DomainError("n must be at least 1")
     if w <= 0.0:
         raise DomainError("w must be positive")
@@ -519,58 +519,16 @@ def spam_fi_rows(fam: DephasingFamily, ns, w: float, q: float, variant: str = "g
 # ---------------------------------------------------------------------------
 
 
-def _qec_parts() -> tuple:
-    """``(M0, M1)`` with ``(1-p) M0 + p M1`` the 32x32 map of one QEC step on ``(vec rho, vec drho)``.
-
-    Row-major vectorization, ``vec(A X B) = (A ⊗ Bᵀ) vec(X)``.  The dephasing
-    ``(1-p) id + p Z1 . Z1`` is the only part that depends on ``p``, so ``M0``
-    is the step without the flip ``Z1 . Z1`` and ``M1`` the step after it.  The
-    syndrome projectors ``P± = (I ± X⊗Z_A)/2`` are built exactly, so
-    ``P+ + P- = I`` holds in floating point and the trace does not drift with ``n``.
-    """
-    z1 = np.kron(Z, I2)
-    x1 = np.kron(X, I2)
-    eye = np.eye(4)
-    p_plus = (eye + np.kron(X, Z)) / 2.0
-    flip = z1 @ (eye - np.kron(X, Z)) / 2.0  # Z on the probe after the -1 projector
-    drive = -1j * (np.kron(x1, eye) - np.kron(eye, x1))
-    recover = np.kron(p_plus, p_plus) + np.kron(flip, flip)
-    m0 = np.block([[recover, np.zeros((16, 16))], [recover @ drive, recover]])
-    return m0, m0 @ np.kron(np.eye(2), np.kron(z1, z1))
+_QEC_PLUS = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # |+_L>: v = (1, 0, 0), no derivative
+_G_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # generator of a z rotation
 
 
-def _qec_start() -> np.ndarray:
-    """``(vec rho, vec drho)`` of the input ``(|+>|0>_A + |->|1>_A)/sqrt(2)``, as complex numbers."""
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    psi0 = (np.kron(plus, [1.0, 0.0]) + np.kron(minus, [0.0, 1.0])) / np.sqrt(2.0)
-    return np.concatenate([np.outer(psi0, psi0).ravel(), np.zeros(16)]).astype(complex)
-
-
-_QEC_M0, _QEC_M1 = _qec_parts()
-_QEC_START = _qec_start()
-
-
-def _qec_transfer(p: float) -> np.ndarray:
-    """32x32 map of one QEC step on ``(vec rho, vec drho)``, linear in ``p`` (see :func:`_qec_parts`)."""
-    return (1.0 - p) * _QEC_M0 + p * _QEC_M1
-
-
-def _qec_rows(p: float, ns) -> list:
-    """:func:`qec_repetition_sim`'s checks, then its result at each n of ``ns``, all rows
-    advanced together."""
+def _qec_step(p: float) -> np.ndarray:
+    """The offset ``S - I`` of one logical QEC step, once ``p`` passes its check: the logical
+    qubit is kept (``T = I``) and turns about z at ``dT = 2 (1-2p) G_z``."""
     if not 0.0 < p <= 0.5:
         raise DomainError("p must lie in (0, 1/2]")
-    _require_steps(ns.min())
-    z = _advance(_qec_transfer(p) - np.eye(32), ns, _QEC_START)
-    return [
-        ProtocolResult(
-            n=int(n),
-            qfi_or_fi=qfi_state(DensityState(row[:16].reshape(4, 4), row[16:].reshape(4, 4))),
-            meta={"p": p, "code": "two_qubit_repetition"},
-        )
-        for n, row in zip(ns, z)
-    ]
+    return _lift(0.0, np.eye(3), 0.0, 2.0 * (1.0 - 2.0 * p) * _G_Z) - _EYE7
 
 
 def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
@@ -578,18 +536,25 @@ def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
 
     Input ``(|+>|0>_A + |->|1>_A)/sqrt(2)``; each step applies the channel to
     the probe qubit, measures the syndrome ``X x Z_A`` and applies
-    ``Z x I`` on outcome -1.  The recovery is realized as the deterministic
-    sum over syndrome branches, the ``n`` steps as one power of the 32x32
-    step superoperator, and the terminal QFI reproduces
-    ``4 (1-2p)^2 n^2``.
+    ``Z x I`` on outcome -1.  The recovery returns every state to the code
+    space ``span{|+0>, |-1>}``, where the input is ``|+_L>`` and ``X x I`` acts
+    as ``Z_L``.  A flipped branch turns the other way, so after its correction
+    one step is the identity with derivative ``-i (1-2p) [Z_L, .]``.
+    The ``n`` steps are one power of that 7x7 lifted step on the logical
+    ``(v, dv, 1)``; the result's ``terminal`` is the logical Bloch pair, and its
+    QFI is ``4 (1-2p)^2 n^2``.
     """
-    return _qec_rows(p, np.array([n]))[0]
+    step = _qec_step(p)
+    n = _require_steps(n)
+    return _bloch_result(n, _advance(step, n, _QEC_PLUS))
 
 
 @_rows_form
 def qec_repetition_rows(p: float, ns):
     """The QFI of :func:`qec_repetition_sim` at each n of ``ns``."""
-    return [r.qfi_or_fi for r in _qec_rows(p, ns)]
+    step = _qec_step(p)
+    _require_steps(ns.min())
+    return [_bloch_result(n, z).qfi_or_fi for n, z in zip(ns, _advance(step, ns, _QEC_PLUS))]
 
 
 @_overflow_is_domain_error

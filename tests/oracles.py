@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from qmetro.channel_model import DephasingFamily, OneParamChannel
-from qmetro.fisher_info import Povm, qfi_bloch
+from qmetro.fisher_info import Povm, qfi_bloch, qfi_state
+from qmetro.protocols import _advance
 from qmetro.qubit_core import (
     I2,
     PSD_ATOL,
@@ -195,3 +196,72 @@ def spam_povm(q: float) -> Povm:
         [[0, 0], [0, 1]], dtype=complex
     )
     return Povm([m, I2 - m])
+
+
+# ---------------------------------------------------------------------------
+# The repetition-code QEC step on the two-qubit density matrix (qmetro.protocols)
+# ---------------------------------------------------------------------------
+
+
+def _qec_parts() -> tuple:
+    """``(M0, M1)`` with ``(1-p) M0 + p M1`` the 32x32 map of one QEC step on ``(vec rho, vec drho)``.
+
+    Row-major vectorization, ``vec(A X B) = (A ⊗ Bᵀ) vec(X)``.  The dephasing
+    ``(1-p) id + p Z1 . Z1`` is the only part that depends on ``p``, so ``M0``
+    is the step without the flip ``Z1 . Z1`` and ``M1`` the step after it.  The
+    syndrome projectors ``P± = (I ± X⊗Z_A)/2`` are built exactly, so
+    ``P+ + P- = I`` holds in floating point and the trace does not drift with ``n``.
+    """
+    z1 = np.kron(Z, I2)
+    x1 = np.kron(X, I2)
+    eye = np.eye(4)
+    p_plus = (eye + np.kron(X, Z)) / 2.0
+    flip = z1 @ (eye - np.kron(X, Z)) / 2.0  # Z on the probe after the -1 projector
+    drive = -1j * (np.kron(x1, eye) - np.kron(eye, x1))
+    recover = np.kron(p_plus, p_plus) + np.kron(flip, flip)
+    m0 = np.block([[recover, np.zeros((16, 16))], [recover @ drive, recover]])
+    return m0, m0 @ np.kron(np.eye(2), np.kron(z1, z1))
+
+
+def _qec_start() -> np.ndarray:
+    """``(vec rho, vec drho)`` of the input ``(|+>|0>_A + |->|1>_A)/sqrt(2)``, as complex numbers."""
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    psi0 = (np.kron(plus, [1.0, 0.0]) + np.kron(minus, [0.0, 1.0])) / np.sqrt(2.0)
+    return np.concatenate([np.outer(psi0, psi0).ravel(), np.zeros(16)]).astype(complex)
+
+
+_QEC_M0, _QEC_M1 = _qec_parts()
+_QEC_START = _qec_start()
+
+
+def _qec_transfer(p: float) -> np.ndarray:
+    """32x32 map of one QEC step on ``(vec rho, vec drho)``, linear in ``p`` (see :func:`_qec_parts`)."""
+    return (1.0 - p) * _QEC_M0 + p * _QEC_M1
+
+
+def qec_superoperator_rows(p: float, ns) -> list:
+    """The QFI of the repetition-code protocol at each n of ``ns``: the 32x32 step raised to each
+    ``n`` together, then ``qfi_state`` of each row's 4x4 ``(rho, drho)``."""
+    z = _advance(_qec_transfer(p) - np.eye(32), np.asarray(ns), _QEC_START)
+    return [qfi_state(DensityState(row[:16].reshape(4, 4), row[16:].reshape(4, 4))) for row in z]
+
+
+def qec_code_maps() -> tuple:
+    """``(emb, read)`` between a logical ``(v, dv, 1)`` and the 32x32 step's ``(vec rho, vec drho)``.
+
+    The code space is ``span{|+0>, |-1>}``, with the isometry ``V = W / sqrt(2)`` of the integer
+    basis ``W`` (entries 0 and +-1).  ``emb`` (32x7) writes ``rho = V (I + v.sigma) V^dag / 2``
+    and ``drho = V (dv.sigma) V^dag / 2``, and ``read`` (7x32) reads ``Tr(V^dag rho V sigma_i)``
+    and ``Tr(V^dag drho V sigma_i)`` back, with the trace in its last row.  Their entries are
+    those of ``W sigma W^T`` divided by 4 and by 2, so both are exact in floating point.
+    """
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])  # sqrt(2) |+0>, sqrt(2) |-1>
+    emb, read = np.zeros((32, 7), dtype=complex), np.zeros((7, 32), dtype=complex)
+    for i, sigma in enumerate((X, Y, Z, I2)):
+        image = w @ sigma @ w.T
+        col = 6 if i == 3 else i
+        emb[:16, col], read[col, :16] = image.ravel() / 4.0, image.T.ravel() / 2.0
+        if i < 3:
+            emb[16:, 3 + i], read[3 + i, 16:] = image.ravel() / 4.0, image.T.ravel() / 2.0
+    return emb, read

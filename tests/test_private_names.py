@@ -19,6 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALLOWED = {
     "apply_kraus": "perfbench/tracer.py names it in TRACED and wraps it by getattr",
     "povm_fi": "perfbench/tracer.py names it in TRACED and wraps it by getattr",
+    "qfi_state": "perfbench/tracer.py names it in TRACED and wraps it by getattr",
     "sld": "a state functional, API beside qfi_state",
     "bures_distance": "a state functional, API beside qfi_state",
     "contractive_bound": "the paper's ceiling for strictly contractive channels (criterion 7)",

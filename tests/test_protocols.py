@@ -5,7 +5,11 @@ import pytest
 
 from conftest import bloch_state_matrix, dephasing_apply
 from oracles import (
+    _QEC_START,
+    _qec_transfer,
     bloch_to_density,
+    qec_code_maps,
+    qec_superoperator_rows,
     random_cptp_kraus,
     random_dephasing_family,
     random_one_param_channel,
@@ -21,9 +25,9 @@ from qmetro.channel_model import (
 )
 from qmetro.fisher_info import povm_fi, qfi_bloch, qfi_state
 from qmetro.protocols import (
-    _QEC_START,
     SQL_VARIANTS,
     ControlSequence,
+    ProtocolResult,
     no_control_fixed_point,
     no_control_rows,
     qec_analytic,
@@ -41,7 +45,7 @@ from qmetro.protocols import (
     _advance,
     _kernel_steps,
     _lifted_kernel,
-    _qec_transfer,
+    _qec_step,
     _step_offsets,
 )
 from qmetro.qubit_core import (
@@ -221,8 +225,6 @@ class TestTransferMatrix:
         assert rel_dist(traced.terminal.dv, plain.terminal.dv) <= 1e-12
 
     def test_qec_superoperator_matches_density_loop(self):
-        from qmetro.protocols import _qec_transfer
-
         state = np.concatenate([qec_loop(0.1, 0)[0].ravel(), np.zeros(16)])
         for p in (0.05, 0.13, 0.3, 0.5):
             step = _qec_transfer(p)
@@ -318,7 +320,7 @@ class TestComposedSteps:
         with pytest.raises(ValueError):
             seq._offsets[0, 0, 0] = 1.0
         e = _step_offsets(TestTransferMatrix.FAM, [m.t for m in maps], [m.T for m in maps])
-        assert np.array_equal(e, _kernel_steps(TestTransferMatrix.FAM, seq._offsets))
+        assert np.array_equal(e, _kernel_steps(_lifted_kernel(TestTransferMatrix.FAM), seq._offsets))
 
 
 def random_starts(rng, count):
@@ -393,6 +395,19 @@ class TestComposedProductMemo:
         simulate_sequence(fam, seq, POLE, 19)
         simulate_sequence(random_dephasing_family(rng), seq, POLE, 19)
         assert calls == [20, 19, 19]
+
+    def test_one_channel_kernel_per_call(self, rng, monkeypatch):
+        import qmetro.protocols as protocols
+
+        calls = []
+        build = protocols.ptm_from_kraus
+        ch = random_one_param_channel(rng)
+        seq = ControlSequence(random_controls(rng, 8), constant=False)
+        monkeypatch.setattr(protocols, "ptm_from_kraus", lambda ks: calls.append(ks) or build(ks))
+        simulate_sequence(ch, seq, POLE, 8)  # a miss: the key and the steps share one kernel
+        assert len(calls) == 1
+        simulate_sequence(ch, seq, POLE, 8)  # a hit builds the kernel for its key only
+        assert len(calls) == 2
 
     def test_trajectory_after_a_memo_hit_keeps_the_terminal(self, rng):
         fam = random_dephasing_family(rng)
@@ -805,6 +820,37 @@ class TestQec:
                 assert np.isclose(sim, qec_analytic(p, n), rtol=1e-6)
 
 
+QEC_PS = (0.01, 0.05, 0.1, 0.13, 0.137, 0.23, 0.3, 1 / 3, 0.4, 0.5)
+
+
+class TestQecLogicalStep:
+    """The 32x32 step on ``(vec rho, vec drho)``, compressed through the code basis, certifies
+    the 7x7 logical step that :func:`qec_repetition_sim` runs."""
+
+    @pytest.mark.parametrize("p", QEC_PS)
+    def test_code_space_is_invariant_and_compresses_to_the_step(self, p):
+        emb, read = qec_code_maps()
+        assert np.array_equal(read @ emb, np.eye(7))
+        m = _qec_transfer(p)
+        k = read @ m @ emb
+        # the step maps the code space into itself exactly: no leakage
+        assert np.array_equal(m @ emb, emb @ k)
+        assert np.abs(k - (_qec_step(p) + np.eye(7))).max() <= 1e-15
+
+    @pytest.mark.parametrize("p", QEC_PS)
+    def test_rows_match_the_superoperator(self, p):
+        ns = np.arange(1, 301)
+        want = np.array(qec_superoperator_rows(p, ns))
+        assert np.all(np.abs(qec_repetition_rows(p, ns) - want) <= 2e-15 * want)
+
+    def test_result_carries_the_logical_terminal(self):
+        res = qec_repetition_sim(0.1, 100)
+        assert res.qfi_or_fi == 25600.0
+        assert np.array_equal(res.terminal.v, [1.0, 0.0, 0.0])
+        assert np.array_equal(res.terminal.dv, [0.0, 160.0, 0.0])  # 2 (1-2p) n about y
+        assert res.meta == {}
+
+
 class TestCeilings:
     def test_derivative_ceiling_rgnks_violated(self, rng):
         # G0, G1 prop Z: ||dv_n||^2 <= (Tr(G- Z)^2 + 4 pdot^2) / (4 p^2 (1-p)^2)
@@ -903,12 +949,55 @@ class TestStepCountType:
             lambda fam, n: simulate_sequence(fam, ControlSequence.identity(), POLE, n),
             lambda fam, n: simulate_sequence(fam, ControlSequence.identity(), POLE, n, record_trajectory=True),
             lambda fam, n: sql_protocol(fam, n, 0.01),
+            lambda fam, n: spam_fi(fam, n, 0.01, 0.1),
+            lambda fam, n: spam_fi(fam, n, 0.01, 0.5),
+            lambda fam, n: repeated_measurement(fam, n, 2),
+            lambda fam, n: qec_repetition_sim(0.1, n),
+            lambda fam, n: qec_analytic(0.1, n),
+            lambda fam, n: sql_protocol_rows(fam, [1, n], 0.01),
+            lambda fam, n: spam_fi_rows(fam, [1, n], 0.01, 0.1),
+            lambda fam, n: repeated_measurement_rows(fam, [1, n], 2),
+            lambda fam, n: qec_repetition_rows(0.1, [1, n]),
+            lambda fam, n: no_control_rows(fam, [1, n]),
         ],
-        ids=["per_step", "constant", "trajectory", "sql"],
+        ids=[
+            "per_step",
+            "constant",
+            "trajectory",
+            "sql",
+            "spam",
+            "spam_half_rate",
+            "repeated",
+            "qec",
+            "qec_analytic",
+            "sql_rows",
+            "spam_rows",
+            "repeated_rows",
+            "qec_rows",
+            "no_control_rows",
+        ],
     )
     def test_float_step_count_is_validation_error(self, call):
         fam = x_rotation_dephasing(0.1)
         for bad in (3.0, 2.5):
             with pytest.raises(ValidationError, match="n must be an integer"):
                 call(fam, bad)
-        assert_same_result(call(fam, np.int64(3)), call(fam, 3))
+        want, got = call(fam, 3), call(fam, np.int64(3))
+        if isinstance(want, ProtocolResult) and want.terminal is not None:
+            assert_same_result(got, want)
+        else:
+            assert np.array_equal(getattr(got, "qfi_or_fi", got), getattr(want, "qfi_or_fi", want))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam, n: sql_protocol(fam, n, 0.01),
+            lambda fam, n: spam_fi(fam, n, 0.01, 0.1),
+            lambda fam, n: repeated_measurement(fam, n, 2),
+            lambda fam, n: qec_repetition_sim(0.1, n),
+        ],
+        ids=["sql", "spam", "repeated", "qec"],
+    )
+    def test_string_step_count_is_validation_error(self, call):
+        with pytest.raises(ValidationError, match="n must be an integer, got '3'"):
+            call(x_rotation_dephasing(0.1), "3")

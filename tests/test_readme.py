@@ -27,7 +27,7 @@ def quick_start() -> tuple[dict, dict]:
 def test_quick_start_gives_what_its_comments_state():
     namespace, values = quick_start()
     assert values["hnks_check"] is True
-    # 4 (1-2p)^2 n^2 at p = 0.1, n = 100; the 32x32 power lands one ulp above
+    # 4 (1-2p)^2 n^2 at p = 0.1, n = 100; the logical 7x7 power lands on it exactly
     assert values["qec_repetition_sim"] == pytest.approx(25600.0, rel=1e-12)
     # QFI per use at n = 10^4 sits 3.6e-4 below its n -> infinity limit
     asymptotic = namespace["sql_asymptotic"](namespace["fam"], 0.01)
