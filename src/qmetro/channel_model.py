@@ -70,7 +70,7 @@ __all__ = [
 
 CLASSIFY_TOL = 1e-7
 HNKS_TOL = 1e-7  # smallest ||H||-relative distance from the Kraus span that counts as HNKS
-RGNKS_TOL = 1e-9  # largest |Tr(G X)|, |Tr(G Y)| at which a generator counts as proportional to Z
+RGNKS_TOL = 1e-9  # largest |Tr(G X)|, |Tr(G Y)|, relative to the largest Pauli coordinate, of a G along Z
 UNITAL_TOL = 1e-8  # largest unitality witness at which a channel counts as unital
 _EDGE_GUARD = 1e-3  # fraction of CLASSIFY_TOL treated as "too close to call" at the band edge
 
@@ -366,9 +366,11 @@ def hnks_check(ch: OneParamChannel) -> HnksResult:
 
 
 def rgnks_check(fam: DephasingFamily) -> bool:
-    """RGNKS on the supplied (G0, G1): ``|Tr(G X)|`` or ``|Tr(G Y)|`` of some generator exceeds ``RGNKS_TOL``."""
-    transverse = [pauli_decompose(g)[1:3] for g in (fam.g0, fam.g1)]  # Tr(G X), Tr(G Y)
-    return bool(np.abs(transverse).max() > RGNKS_TOL)
+    """RGNKS on the supplied (G0, G1): ``|Tr(G X)|`` or ``|Tr(G Y)|`` of some generator exceeds
+    ``RGNKS_TOL`` times the generators' largest Pauli coordinate, so rescaling the parameter
+    leaves the verdict; ``G0 = G1 = 0`` violates it."""
+    coords = np.abs([pauli_decompose(g)[1:] for g in (fam.g0, fam.g1)])  # Tr(G X), Tr(G Y), Tr(G Z)
+    return bool(coords[:, :2].max() > RGNKS_TOL * coords.max())
 
 
 # ---------------------------------------------------------------------------

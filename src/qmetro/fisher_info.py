@@ -13,11 +13,14 @@ squares that ``channel_model`` also uses for HNKS and the annihilating gauge).
   (Fujiwara & Imai 2008; Demkowicz-Dobrzanski, Kolodynski & Guta,
   Nat. Commun. 3, 1063, 2012) this equals ``4 max_rho min_h Tr(rho alpha(h))``,
   a concave maximum over inputs.  It is taken over the restricted set
-  ``rho = (1 - eps) sigma + eps I/d`` with ``eps = INPUT_FLOOR``.  The
-  least-squares argmin ``h_opt`` at the final ``rho*`` certifies the answer:
-  ``value = 4 lambda_max(alpha(h_opt))`` is an upper bound on the QFI,
-  ``4 Tr(rho* alpha(h_opt))`` a lower bound, and their difference ``gap``
-  must stay within ``GAP_RTOL * value``;
+  ``rho = (1 - eps) sigma + eps I/d`` with ``eps = INPUT_FLOOR``, by BFGS
+  with Armijo backtracking on the envelope gradient.  The least-squares
+  argmin ``h`` at each iterate ``rho`` is a certificate:
+  ``value = 4 lambda_max(alpha(h))`` is an upper bound on the QFI,
+  ``4 Tr(rho alpha(h))`` a lower bound, and the run returns at the first
+  iterate whose difference ``gap`` is within ``GAP_RTOL * value``.  When BFGS
+  stalls first (a step gains less than ``1e-14`` of the objective, or
+  backtracking finds no step), up to ``POLISH_STEPS`` Newton steps follow;
 * ancilla-free, ``4 sup_psi min_h <psi|alpha(h)|psi>``.  At a pure qubit
   input ``v`` the inner minimum is the output state's Bloch QFI, so the
   supremum is a closed-form maximum over the unit sphere (a Fibonacci grid,
@@ -258,6 +261,9 @@ GAP_RTOL = 1e-8
 INPUT_FLOOR = 1e-10
 """Weight ``eps`` of ``I/d`` mixed into every ancilla-assisted input state."""
 
+BFGS_STEPS = 1000
+"""Most BFGS iterations of the ancilla-assisted outer maximum."""
+
 POLISH_STEPS = 2
 """Newton steps allowed after BFGS before the certificate gives up."""
 
@@ -298,57 +304,71 @@ def channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
     """Ancilla-assisted channel QFI ``4 min_h ||alpha(h)||``, certified by its dual.
 
     By the minimax theorem the value equals ``4 max_rho min_h Tr(rho alpha(h))``.
-    The outer maximum runs by BFGS, from ``I/d``, over inputs
+    The outer maximum runs by BFGS with Armijo backtracking (Nocedal & Wright,
+    Algorithms 6.1 and 3.1), from ``I/d``, over inputs
     ``rho = (1 - eps) s s^dag / ||s||^2 + eps I/d`` with ``eps = INPUT_FLOOR``;
     the floor keeps the least-squares argmin unique when the optimal input
-    is rank-deficient.  The gradient comes from the envelope theorem; while
-    the certificate below fails, up to ``POLISH_STEPS`` Newton steps follow
-    the BFGS run.  At the final ``rho*`` the argmin ``h_opt`` gives the upper bound
-    ``value = 4 lambda_max(alpha(h_opt))`` and the lower bound
-    ``4 Tr(rho* alpha(h_opt))``; ``gap`` is their difference, so the exact
-    QFI lies in ``[value - gap, value]``.  Raises :class:`ConvergenceError`
-    when ``gap > GAP_RTOL * value``, :class:`DomainError` when it overflows.
+    is rank-deficient.  The gradient comes from the envelope theorem.  At every
+    iterate ``rho`` the argmin ``h`` gives the upper bound
+    ``value = 4 lambda_max(alpha(h))`` and the lower bound ``4 Tr(rho alpha(h))``;
+    ``gap`` is their difference, so the exact QFI lies in ``[value - gap, value]``,
+    and the run returns at the first iterate with ``gap <= GAP_RTOL * value``.
+    BFGS stalls about sqrt(machine eps) from the optimum, so it stops when a step
+    gains less than ``1e-14`` of the objective or backtracking finds none; up to
+    ``POLISH_STEPS`` Newton steps follow.  Raises :class:`ConvergenceError` when
+    the certificate still fails, :class:`DomainError` when the QFI overflows.  A
+    derivative that the gauge removes to within ``1e-24`` of ``sum_j ||dK_j||^2``
+    gives 0.
     """
     k_ops, dk_ops = ch.k_ops, ch.dk_ops
     d = ch.dim
     floor = np.sqrt(INPUT_FLOOR / d) * np.eye(d)
 
-    def unpack(x):
-        s = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-        return s, np.hstack([np.sqrt(1.0 - INPUT_FLOOR) * s / np.linalg.norm(s), floor])
-
     scale = _inner_min(k_ops, dk_ops, np.eye(d) / np.sqrt(d))[0]
-    if scale < 1e-24:
+    if scale <= 1e-24 * float(np.sum(abs(dk_ops) ** 2)):
         return ChannelQfiResult(0.0, GaugeMatrix(np.zeros((len(k_ops),) * 2)), 0.0, np.eye(d) / d)
 
-    def neg_value(x):
-        s, full = unpack(x)
+    def probe(x):
+        """``-f / scale`` at ``x`` and its gradient, then the certificate ``(value, gap, h, full)``."""
+        s = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+        full = np.hstack([np.sqrt(1.0 - INPUT_FLOOR) * s / np.linalg.norm(s), floor])
         f, h = _inner_min(k_ops, dk_ops, full)
-        alpha_s = _alpha(k_ops, dk_ops, h) @ s
-        norm2 = np.vdot(s, s).real
+        alpha = _alpha(k_ops, dk_ops, h)
+        alpha_s, norm2 = alpha @ s, np.vdot(s, s).real
         grad = 2.0 * (1.0 - INPUT_FLOOR) * (alpha_s - np.vdot(s, alpha_s).real / norm2 * s) / norm2
-        return -f / scale, -np.concatenate([grad.real.ravel(), grad.imag.ravel()]) / scale
+        value = 4.0 * float(np.linalg.eigvalsh(alpha)[-1])
+        cert = value, max(value - 4.0 * f, 0.0), h, full
+        return -f / scale, -np.concatenate([grad.real.ravel(), grad.imag.ravel()]) / scale, cert
 
-    from scipy.optimize import minimize  # scipy's only user; kept off the import path
-
-    x0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
-    x = minimize(neg_value, x0, jac=True, method="BFGS", options={"gtol": 1e-12, "maxiter": 1000}).x
+    x = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    fx, gx, cert = probe(x)
+    inv_hess = np.eye(len(x))
+    for _ in range(BFGS_STEPS):
+        if cert[1] <= GAP_RTOL * cert[0]:
+            break
+        step, t = -inv_hess @ gx, 1.0
+        while t > 1e-10 and (trial := probe(x + t * step))[0] > fx + 1e-4 * t * (gx @ step):
+            t /= 2.0
+        if t <= 1e-10:
+            break
+        s_k, y_k, stalled = t * step, trial[1] - gx, fx - trial[0] <= 1e-14 * abs(fx)
+        x, (fx, gx, cert) = x + s_k, trial
+        if stalled:
+            break
+        if (sy := s_k @ y_k) > 0.0:  # curvature condition; otherwise keep the inverse Hessian
+            v = np.eye(len(x)) - np.outer(s_k, y_k) / sy
+            inv_hess = v @ inv_hess @ v.T + np.outer(s_k, s_k) / sy
     for _ in range(POLISH_STEPS + 1):
-        _, full = unpack(x)
-        lower, h = _inner_min(k_ops, dk_ops, full)
-        value = 4.0 * float(np.linalg.eigvalsh(_alpha(k_ops, dk_ops, h))[-1])
-        gap = max(value - 4.0 * lower, 0.0)
+        value, gap, h, full = cert
         if gap <= GAP_RTOL * value:
             return ChannelQfiResult(value, GaugeMatrix(h), gap, full @ full.conj().T)
-        # BFGS stops about sqrt(machine eps) from the optimum, where its line
-        # search can no longer resolve the objective; a Newton step on the
-        # envelope gradient with a central-difference Hessian needs no
-        # objective values and reaches the gap floor that INPUT_FLOOR sets
+        # a Newton step on the envelope gradient with a central-difference
+        # Hessian needs no objective values, which BFGS can no longer resolve
+        # here, and reaches the gap floor that INPUT_FLOOR sets
         t = 1e-6 * np.linalg.norm(x)
-        hess = np.column_stack(
-            [neg_value(x + t * e)[1] - neg_value(x - t * e)[1] for e in np.eye(len(x))]
-        ) / (2.0 * t)
-        x = x - np.linalg.lstsq(hess, neg_value(x)[1], rcond=1e-8)[0]
+        hess = np.column_stack([probe(x + t * e)[1] - probe(x - t * e)[1] for e in np.eye(len(x))]) / (2.0 * t)
+        x = x - np.linalg.lstsq(hess, gx, rcond=1e-8)[0]
+        _, gx, cert = probe(x)
     raise ConvergenceError(
         f"dual solver stopped with relative duality gap {gap / value:.2e}",
         best_value=value,

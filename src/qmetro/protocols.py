@@ -202,11 +202,16 @@ def _advance(e: np.ndarray, n, z: np.ndarray) -> np.ndarray:
 
 def _rows_form(per_block):
     """The rows form ``f(first, ns, ...)`` of ``per_block``, run over ``ns`` in blocks of
-    ``ROWS_PER_BLOCK`` rows; one float per entry of ``ns``, none (and no checks) for none."""
+    ``ROWS_PER_BLOCK`` rows once every entry of ``ns`` passes :func:`_require_steps` (one
+    comparison for an int array); one float per entry of ``ns``, none (and no checks) for none."""
 
     @wraps(per_block)
     def rows(first, ns, *args, **kwargs) -> np.ndarray:
         ns = np.asarray(ns)
+        if ns.dtype.kind not in "iu":  # floats, strings, or an object array (an n beyond int64)
+            ns = np.array([_require_steps(n) for n in ns], dtype=object)
+        elif len(ns) and ns.min() < 0:
+            raise DomainError("n must be nonnegative")
         values = np.empty(len(ns))
         for lo in range(0, len(ns), ROWS_PER_BLOCK):
             values[lo : lo + ROWS_PER_BLOCK] = per_block(first, ns[lo : lo + ROWS_PER_BLOCK], *args, **kwargs)
@@ -323,7 +328,6 @@ def simulate_sequence(
 def _constant_rows(fam, ns, v0: BlochState, shifts, rotations) -> list:
     """:func:`simulate_sequence`'s results at each n of ``ns`` under a constant control:
     one ``(t, T)`` for all rows, or one per row (``rotations`` of shape (N, 3, 3))."""
-    _require_steps(ns.min())
     z = _advance(_step_offsets(fam, shifts, rotations), ns, _start(v0))
     return [_bloch_result(n, row) for n, row in zip(ns, z)]
 
@@ -343,8 +347,8 @@ def no_control_rows(fam, ns, z0: float = 1.0):
 
 def _sql_trace(fam: DephasingFamily, variant: str, w: float, z0: float, n_min: int = 1) -> float:
     """The driving trace ``Tr(G A)`` of an SQL variant, once its arguments pass their checks;
-    ``n_min`` is the smallest step count of the run."""
-    if _require_steps(n_min) < 1:
+    ``n_min`` is the smallest step count of the run, an integer."""
+    if n_min < 1:
         raise DomainError("n must be at least 1")
     if w <= 0.0:
         raise DomainError("w must be positive")
@@ -383,7 +387,7 @@ def sql_protocol(
     with an extra Z factor for the G1 variants) after each channel use,
     starting from ``(0, 0, z0)``.
     """
-    _sql_trace(fam, variant, w, z0, n)
+    _sql_trace(fam, variant, w, z0, _require_steps(n))
     control = ControlSequence(sql_control_ptm(variant, math.sqrt(w / _float_steps(n))))
     result = simulate_sequence(fam, control, _axis_state(z0), n)
     return ProtocolResult(
@@ -432,12 +436,11 @@ def sql_asymptotic(fam: DephasingFamily, w: float, variant: str = "g0x", z0: flo
 # ---------------------------------------------------------------------------
 
 
-def _pole_interval(fam: DephasingFamily, interval: int, n_min: int) -> float:
+def _pole_interval(fam: DephasingFamily, interval: int) -> float:
     """The QFI one interval of ``interval`` control-free steps accumulates from ``(0, 0, 1)``,
-    once ``interval`` and the smallest step count ``n_min`` pass their checks."""
+    once ``interval`` passes its check."""
     if interval < 1:
         raise DomainError("interval must be at least 1")
-    _require_steps(n_min)
     return simulate_sequence(fam, ControlSequence.identity(), _axis_state(1.0), interval).qfi_or_fi
 
 
@@ -447,7 +450,8 @@ def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> Protoco
     The FI is the number of completed intervals times the QFI accumulated in
     one interval; remainder steps are dropped and recorded in the metadata.
     """
-    per_interval = _pole_interval(fam, interval, n)
+    n = _require_steps(n)
+    per_interval = _pole_interval(fam, interval)
     blocks = n // interval
     return ProtocolResult(
         n=n,
@@ -465,7 +469,7 @@ def repeated_measurement(fam: DephasingFamily, n: int, interval: int) -> Protoco
 def repeated_measurement_rows(fam: DephasingFamily, ns, interval: int):
     """The FI of :func:`repeated_measurement` at each n of ``ns``: ``(n // interval)`` times
     one per-interval QFI."""
-    per_interval = _pole_interval(fam, interval, ns.min())
+    per_interval = _pole_interval(fam, interval)
     return [ProtocolResult(n=n, qfi_or_fi=_float_steps(int(n) // interval) * per_interval).qfi_or_fi for n in ns]
 
 
@@ -499,7 +503,7 @@ def spam_fi(
     on the terminal Bloch pair is ``s'^2 / (1 - s^2)`` with ``s = (1-2q) v_z`` and
     ``s' = (1-2q) dv_z``; a noiseless readout at the pole (``s^2 = 1``) gets ``s'^2``.
     """
-    z0 = _spam_bias(fam, n, w, q, variant)
+    z0 = _spam_bias(fam, _require_steps(n), w, q, variant)
     if z0 <= 0.0:
         return 0.0  # input is maximally mixed and the POVM element is I/2
     return _spam_readout(z0, sql_protocol(fam, n, w, variant=variant, z0=z0).terminal)
@@ -553,7 +557,6 @@ def qec_repetition_sim(p: float, n: int) -> ProtocolResult:
 def qec_repetition_rows(p: float, ns):
     """The QFI of :func:`qec_repetition_sim` at each n of ``ns``."""
     step = _qec_step(p)
-    _require_steps(ns.min())
     return [_bloch_result(n, z).qfi_or_fi for n, z in zip(ns, _advance(step, ns, _QEC_PLUS))]
 
 

@@ -1,8 +1,10 @@
-"""Random instances, round-trip conversions and estimators that only the tests read.
+"""Random instances, round-trip conversions, estimators and slow-path solvers that only the
+tests read.
 
 They moved here verbatim from ``qmetro``, so a fixed seed draws the same
 instances it always drew: the acceptance criteria and the property tests take
-their inputs from these generators.
+their inputs from these generators, and a fast path is checked against the
+slow path it replaced.
 """
 
 from __future__ import annotations
@@ -12,7 +14,19 @@ import math
 import numpy as np
 
 from qmetro.channel_model import DephasingFamily, OneParamChannel
-from qmetro.fisher_info import Povm, qfi_bloch, qfi_state
+from qmetro.fisher_info import (
+    GAP_RTOL,
+    INPUT_FLOOR,
+    POLISH_STEPS,
+    ChannelQfiResult,
+    ConvergenceError,
+    GaugeMatrix,
+    Povm,
+    _alpha,
+    _inner_min,
+    qfi_bloch,
+    qfi_state,
+)
 from qmetro.protocols import _advance
 from qmetro.qubit_core import (
     I2,
@@ -27,6 +41,7 @@ from qmetro.qubit_core import (
     KrausSet,
     PauliTransferMap,
     ValidationError,
+    _overflow_is_domain_error,
     choi_from_ptm,
     ptm_from_kraus,
     require_hermitian,
@@ -154,7 +169,7 @@ def random_one_param_channel(
 
 
 # ---------------------------------------------------------------------------
-# Estimators and readouts (qmetro.fisher_info, qmetro.protocols)
+# Estimators, solvers and readouts (qmetro.fisher_info, qmetro.protocols)
 # ---------------------------------------------------------------------------
 
 
@@ -188,6 +203,70 @@ def eta_estimate(ptm: PauliTransferMap, trials: int, seed: int = 0) -> float:
         num = qfi_bloch((ptm.t + ptm.T @ v, ptm.T @ dv))
         best = max(best, num / denom)
     return best
+
+
+@_overflow_is_domain_error
+def scipy_channel_qfi_ancilla(ch: OneParamChannel) -> ChannelQfiResult:
+    """Ancilla-assisted channel QFI ``4 min_h ||alpha(h)||``, certified by its dual: the
+    scipy-BFGS solver that ``qmetro.fisher_info.channel_qfi_ancilla`` replaced.
+
+    By the minimax theorem the value equals ``4 max_rho min_h Tr(rho alpha(h))``.
+    The outer maximum runs by BFGS, from ``I/d``, over inputs
+    ``rho = (1 - eps) s s^dag / ||s||^2 + eps I/d`` with ``eps = INPUT_FLOOR``;
+    the floor keeps the least-squares argmin unique when the optimal input
+    is rank-deficient.  The gradient comes from the envelope theorem; while
+    the certificate below fails, up to ``POLISH_STEPS`` Newton steps follow
+    the BFGS run.  At the final ``rho*`` the argmin ``h_opt`` gives the upper bound
+    ``value = 4 lambda_max(alpha(h_opt))`` and the lower bound
+    ``4 Tr(rho* alpha(h_opt))``; ``gap`` is their difference, so the exact
+    QFI lies in ``[value - gap, value]``.  Raises :class:`ConvergenceError`
+    when ``gap > GAP_RTOL * value``, :class:`DomainError` when it overflows.
+    """
+    k_ops, dk_ops = ch.k_ops, ch.dk_ops
+    d = ch.dim
+    floor = np.sqrt(INPUT_FLOOR / d) * np.eye(d)
+
+    def unpack(x):
+        s = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+        return s, np.hstack([np.sqrt(1.0 - INPUT_FLOOR) * s / np.linalg.norm(s), floor])
+
+    scale = _inner_min(k_ops, dk_ops, np.eye(d) / np.sqrt(d))[0]
+    if scale < 1e-24:
+        return ChannelQfiResult(0.0, GaugeMatrix(np.zeros((len(k_ops),) * 2)), 0.0, np.eye(d) / d)
+
+    def neg_value(x):
+        s, full = unpack(x)
+        f, h = _inner_min(k_ops, dk_ops, full)
+        alpha_s = _alpha(k_ops, dk_ops, h) @ s
+        norm2 = np.vdot(s, s).real
+        grad = 2.0 * (1.0 - INPUT_FLOOR) * (alpha_s - np.vdot(s, alpha_s).real / norm2 * s) / norm2
+        return -f / scale, -np.concatenate([grad.real.ravel(), grad.imag.ravel()]) / scale
+
+    from scipy.optimize import minimize  # kept off the import path of the tests that do not call it
+
+    x0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    x = minimize(neg_value, x0, jac=True, method="BFGS", options={"gtol": 1e-12, "maxiter": 1000}).x
+    for _ in range(POLISH_STEPS + 1):
+        _, full = unpack(x)
+        lower, h = _inner_min(k_ops, dk_ops, full)
+        value = 4.0 * float(np.linalg.eigvalsh(_alpha(k_ops, dk_ops, h))[-1])
+        gap = max(value - 4.0 * lower, 0.0)
+        if gap <= GAP_RTOL * value:
+            return ChannelQfiResult(value, GaugeMatrix(h), gap, full @ full.conj().T)
+        # BFGS stops about sqrt(machine eps) from the optimum, where its line
+        # search can no longer resolve the objective; a Newton step on the
+        # envelope gradient with a central-difference Hessian needs no
+        # objective values and reaches the gap floor that INPUT_FLOOR sets
+        t = 1e-6 * np.linalg.norm(x)
+        hess = np.column_stack(
+            [neg_value(x + t * e)[1] - neg_value(x - t * e)[1] for e in np.eye(len(x))]
+        ) / (2.0 * t)
+        x = x - np.linalg.lstsq(hess, neg_value(x)[1], rcond=1e-8)[0]
+    raise ConvergenceError(
+        f"dual solver stopped with relative duality gap {gap / value:.2e}",
+        best_value=value,
+        gap=gap,
+    )
 
 
 def spam_povm(q: float) -> Povm:

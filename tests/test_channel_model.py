@@ -350,6 +350,21 @@ class TestRgnks:
     def test_single_x_holds(self):
         assert rgnks_check(DephasingFamily(0.1, 0.0, X, np.zeros((2, 2))))
 
+    @pytest.mark.parametrize(
+        "g0, g1, holds",
+        [
+            (X, -X, True),
+            (X, np.zeros((2, 2)), True),
+            (0.3 * Y + Z, 0.5 * Z, True),
+            (Z, 2 * Z, False),
+            (np.zeros((2, 2)), np.zeros((2, 2)), False),
+        ],
+        ids=["readme", "single_x", "generic", "both_z", "zero"],
+    )
+    def test_verdict_does_not_depend_on_units(self, g0, g1, holds):
+        for s in np.logspace(-12, 3, 16):
+            assert rgnks_check(DephasingFamily(0.1, 0.0, s * g0, s * g1)) is holds
+
 
 class TestCanonicalForm:
     def test_dephasing(self):

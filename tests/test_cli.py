@@ -434,6 +434,18 @@ class TestOtherCommands:
         cmd_bound(cfg, out=buf)
         assert "rgnks_violated_bound" in buf.getvalue()
 
+    def test_small_generators_keep_rgnks(self, tmp_path):
+        # G0 = 1e-10 X, G1 = -1e-10 X is the README family in other units: RGNKS holds, and
+        # bound reports no constant ceiling, which the SQL protocol's growing QFI would break
+        cfg_path = tmp_path / "small.conf"
+        cfg_path.write_text("family.p = 0.1\nfamily.g0 = 1e-10 0 0\nfamily.g1 = -1e-10 0 0\nn = 3\n")
+        for command, want in (("classify", "rgnks = holds"), ("bound", "# extension bound, n = 3")):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["--config", str(cfg_path), command]) == 0
+            assert want in buf.getvalue()
+            assert "violated" not in buf.getvalue()
+
 
 class TestStdoutAtCallTime:
     def test_bound_output_reaches_capsys(self, tmp_path, capsys):
@@ -496,7 +508,7 @@ for command in sys.argv[2:]:
 
 
 class TestImportPath:
-    def test_scipy_loaded_only_by_the_ancilla_solver(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         cfg_path = tmp_path / "c.conf"
         cfg_path.write_text(EQ2 + "protocol.kind = sql\nn = 1..3\n")
         commands = ["classify", "sweep", "bound", "figure2 --n-max 5", "qfi"]
@@ -508,7 +520,7 @@ class TestImportPath:
             "sweep 0 False",
             "bound 0 False",
             "figure2 --n-max 5 0 False",
-            "qfi 0 True",
+            "qfi 0 False",
         ]
 
 

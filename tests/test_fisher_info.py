@@ -16,7 +16,9 @@ from oracles import (
     random_cptp_kraus,
     random_dephasing_family,
     random_one_param_channel,
+    scipy_channel_qfi_ancilla,
 )
+from qmetro import fisher_info
 from qmetro.channel_model import (
     DephasingFamily,
     OneParamChannel,
@@ -25,6 +27,8 @@ from qmetro.channel_model import (
     x_rotation_dephasing,
 )
 from qmetro.fisher_info import (
+    GAP_RTOL,
+    ConvergenceError,
     Povm,
     RankDeficiencyWarning,
     _alpha,
@@ -118,6 +122,18 @@ def oracle_panel():
             panel[f"damping{gamma}_{name}"] = rotated_family(damping_set(gamma), g)
     panel["unitary_z"] = OneParamChannel([(I2, -1j * Z)])
     return panel
+
+
+def ancilla_panel():
+    """40 Stinespring channels: 24 qubit ones (env 1-8, three each) and 16 with d = 4 (env 1-4,
+    four each), whose BFGS runs more often stall short of the certificate."""
+    rng = np.random.default_rng(8)
+    return [
+        random_one_param_channel(rng, dim=dim, env=env)
+        for dim, envs, draws in ((2, range(1, 9), 3), (4, range(1, 5), 4))
+        for env in envs
+        for _ in range(draws)
+    ]
 
 
 def random_state_family(rng, dim=2):
@@ -351,6 +367,44 @@ class TestChannelQfiAncilla:
             # 1e-12 relative covers roundoff when both gaps are near zero
             slack = max(narrow.gap, extended.gap) + 1e-12 * narrow.value
             assert abs(narrow.value - extended.value) <= slack
+
+
+class TestAncillaSolver:
+    """The numpy BFGS solver against the scipy-BFGS solver it replaced (``tests/oracles.py``)."""
+
+    def test_certified_and_matches_scipy_oracle(self):
+        for ch in ancilla_panel():
+            res, oracle = channel_qfi_ancilla(ch), scipy_channel_qfi_ancilla(ch)
+            assert res.gap <= GAP_RTOL * res.value
+            # both certified intervals [value - gap, value] hold the same QFI;
+            # 1e-12 relative covers roundoff when both gaps are near zero
+            assert abs(res.value - oracle.value) <= res.gap + oracle.gap + 1e-12 * res.value
+
+    def test_panel_reaches_newton_polish(self, monkeypatch):
+        # without polish steps a channel whose BFGS run stalls short of the certificate raises,
+        # so the count is the number of panel channels the polish certifies
+        monkeypatch.setattr(fisher_info, "POLISH_STEPS", 0)
+        stalled = 0
+        for ch in ancilla_panel():
+            try:
+                channel_qfi_ancilla(ch)
+            except ConvergenceError:
+                stalled += 1
+        assert stalled >= 1
+
+    @pytest.mark.parametrize(
+        "p, pdot, g0, g1",
+        [(0.1, 0.0, X, -X), (0.23, 0.17, 0.3 * X + 0.2 * Y + 0.5 * Z, -0.4 * X + 0.1 * Z)],
+        ids=["readme", "generic"],
+    )
+    def test_value_scales_with_the_parameter_units(self, p, pdot, g0, g1):
+        # theta -> s theta scales G0, G1 and pdot by s and the QFI by s^2; the zero floor is
+        # relative, so a small s does not read as a parameter-independent family
+        unit = channel_qfi_ancilla(dephasing_channel(DephasingFamily(p, pdot, g0, g1)))
+        for s in (1.0, 1e-6, 1e-10, 1e-12, 1e-13):
+            res = channel_qfi_ancilla(dephasing_channel(DephasingFamily(p, s * pdot, s * g0, s * g1)))
+            slack = res.gap / s**2 + unit.gap + 1e-12 * unit.value
+            assert abs(res.value / s**2 - unit.value) <= slack
 
 
 class TestChannelQfiNoAncilla:

@@ -1,5 +1,5 @@
-"""Every name a ``qmetro`` module binds with a top-level import is used there or exported, and
-every ``qmetro`` module imports only from the layers below its own."""
+"""Every name a ``qmetro`` module binds with a top-level import is used there or exported,
+every ``qmetro`` module imports only from the layers below its own, and none imports scipy."""
 
 import ast
 import pathlib
@@ -67,3 +67,29 @@ def test_imports_follow_layers(path):
     assert path.stem in RANK, f"{path.name} has no layer"
     late = sorted(m for m in imported_modules(path) if RANK.get(m, len(LAYERS)) >= RANK[path.stem])
     assert not late, f"{path.name} imports {late}, which are not in an earlier layer"
+
+
+def scipy_imports(path: pathlib.Path) -> list[int]:
+    """Lines of ``path`` that import scipy or one of its modules, at top level or inside a function."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_scipy_import(path):
+    assert not scipy_imports(path), f"{path.name} imports scipy; qmetro runs on numpy alone"
+
+
+def test_scipy_import_is_detected(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy\nfrom scipy.optimize import minimize\n\ndef f():\n    import scipy.linalg\n")
+    assert scipy_imports(probe) == [2, 5]

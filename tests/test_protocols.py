@@ -959,6 +959,7 @@ class TestStepCountType:
             lambda fam, n: repeated_measurement_rows(fam, [1, n], 2),
             lambda fam, n: qec_repetition_rows(0.1, [1, n]),
             lambda fam, n: no_control_rows(fam, [1, n]),
+            lambda fam, n: no_control_rows(fam, [2**70, n, 3]),
         ],
         ids=[
             "per_step",
@@ -975,6 +976,7 @@ class TestStepCountType:
             "repeated_rows",
             "qec_rows",
             "no_control_rows",
+            "object_rows",
         ],
     )
     def test_float_step_count_is_validation_error(self, call):
@@ -987,6 +989,20 @@ class TestStepCountType:
             assert_same_result(got, want)
         else:
             assert np.array_equal(getattr(got, "qfi_or_fi", got), getattr(want, "qfi_or_fi", want))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam: sql_protocol_rows(fam, ["1", "3"], 0.01),
+            lambda fam: no_control_rows(fam, [2**70, 5.5, 3]),
+        ],
+        ids=["string_rows", "float_after_big_int"],
+    )
+    def test_every_entry_is_checked(self, call):
+        # a check of the smallest entry alone misses both: the minimum of strings is a bare
+        # TypeError, and an object array whose minimum is an int hides the float
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            call(x_rotation_dephasing(0.1))
 
     @pytest.mark.parametrize(
         "call",
